@@ -50,6 +50,7 @@ import (
 var tier1 = []string{
 	"EventQueue", "Schedule", "Cancel", "RunDense", "RunSparse",
 	"SweepSerial", "SweepParallel", "SimulatedCaptureRun", "PollModeCaptureRun",
+	"CaptureRun/linux", "CaptureRun/bsd", "CaptureRun/rss", "CaptureRun/poll", "CaptureRun/xdp",
 }
 
 // benchSet is one `go test -bench` invocation: which package, which
@@ -69,6 +70,9 @@ type benchSet struct {
 var benchSets = []benchSet{
 	{pkg: "./internal/sim/", bench: "^(BenchmarkEventQueue|BenchmarkSchedule|BenchmarkCancel|BenchmarkRunDense|BenchmarkRunSparse)$", time: "0.5s"},
 	{pkg: ".", bench: "^(BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSimulatedCaptureRun|BenchmarkPollModeCaptureRun)$", time: "3x"},
+	// One receive path per sub-benchmark over a fixed recorded train; a
+	// run takes a few ms, and a fixed count keeps allocs/op exact.
+	{pkg: "./internal/capture/", bench: "^BenchmarkCaptureRun$", time: "20x"},
 }
 
 type metrics struct {

@@ -45,10 +45,28 @@ type App struct {
 	sampler   policySampler
 	Shed      uint64
 	flowsKept map[uint64]struct{}
+
+	// The read stage: one read task in flight at most (the app is
+	// stRunning until it completes), so the app owns the task, the batch
+	// buffer, the admission and the pending load, and refills them per
+	// read. The stack binds read.OnDone when it is built.
+	read  sim.Task
+	batch []kpkt
+	adm   admission
+	load  pendingLoad
+}
+
+// pendingLoad is the per-packet load of the read in flight, applied when
+// the read completes: bytes for the disk queue and the gzip pipe, and in
+// worker mode the analysis cost to hand to the workers.
+type pendingLoad struct {
+	fixed, mem        float64
+	disk, pipe, bytes int
 }
 
 func newApp(s *System, idx int) *App {
 	a := &App{sys: s, idx: idx}
+	a.read = sim.Task{Prio: sim.PrioUser, MemNsPerByte: s.umemNs()}
 	if s.Load.PipeGzip > 0 {
 		a.pipe = &pipe{sys: s, app: a, level: s.Load.PipeGzip,
 			gauge: s.newGauge("pipe", idx, s.Costs.PipeBufBytes)}
@@ -89,7 +107,8 @@ func (a *App) reset() {
 // packets the application processes, what it shed, and the decision cost.
 // The stacks compute it when the read batch is built and book it via
 // finishRead when the read task completes, so truncated runs account the
-// whole batch as in flight (CauseAbandoned) rather than half-shed.
+// whole batch as in flight (CauseAbandoned) rather than half-shed. Each
+// App keeps one and refills it per read.
 type admission struct {
 	caplens   []int    // capture lengths of the admitted packets
 	flowKeys  []uint64 // flow hashes of the admitted packets
@@ -104,8 +123,10 @@ type admission struct {
 // already been read from the OS buffers — shedding skips the per-packet
 // analysis load, not the kernel or syscall cost. Without a policy the
 // batch is admitted wholesale at zero cost.
-func (a *App) admitBatch(batch []kpkt, occ float64) admission {
-	adm := admission{caplens: make([]int, 0, len(batch))}
+func (a *App) admitBatch(batch []kpkt, occ float64) {
+	adm := &a.adm
+	adm.caplens, adm.flowKeys = adm.caplens[:0], adm.flowKeys[:0]
+	adm.shed, adm.shedBytes, adm.policyNS = 0, 0, 0
 	if a.sampler == nil {
 		if a.flowsKept == nil {
 			// The measurement fast path: no policy, no flow accounting.
@@ -114,13 +135,13 @@ func (a *App) admitBatch(batch []kpkt, occ float64) admission {
 			for _, p := range batch {
 				adm.caplens = append(adm.caplens, p.caplen)
 			}
-			return adm
+			return
 		}
 		for _, p := range batch {
 			adm.caplens = append(adm.caplens, p.caplen)
 			adm.noteFlow(a, p.data)
 		}
-		return adm
+		return
 	}
 	a.sampler.observe(occ)
 	adm.policyNS = a.sys.ufixed(a.sys.Costs.PolicyPerPktNS) * float64(len(batch))
@@ -133,7 +154,6 @@ func (a *App) admitBatch(batch []kpkt, occ float64) admission {
 		adm.caplens = append(adm.caplens, p.caplen)
 		adm.noteFlow(a, p.data)
 	}
-	return adm
 }
 
 // noteFlow records one admitted packet's flow hash for flow-coverage
@@ -150,7 +170,8 @@ func (adm *admission) noteFlow(a *App, frame []byte) {
 // finishRead books a completed read batch: admitted packets count as
 // captured (with their flows), shed packets go to the policy's ledger
 // cause at completion time, and the in-flight window closes.
-func (a *App) finishRead(adm admission) {
+func (a *App) finishRead() {
+	adm := &a.adm
 	a.Captured += uint64(len(adm.caplens))
 	for _, h := range adm.flowKeys {
 		a.flowsKept[h] = struct{}{}
@@ -219,16 +240,16 @@ func (a *App) procCost(caplen int) (fixed, memBytes float64, diskBytes, pipeByte
 	return fixed, memBytes, diskBytes, pipeBytes
 }
 
-// batchLoad prices the per-packet load of a whole read batch. locality
-// discounts the memory-bound part (FreeBSD bulk reads leave the chunk
-// cache-warm). Without worker threads the costs are folded into the read
-// task (inline) and finish() applies the disk/pipe side effects; with
-// Load.Workers > 0 the load runs as separate worker tasks that may execute
-// on other CPUs, and finish() dispatches them.
-func (a *App) batchLoad(caplens []int, locality float64) (inlineFixed, inlineMem float64, finish func()) {
+// batchLoad prices the per-packet load of the admitted packets of the
+// read being built. locality discounts the memory-bound part (FreeBSD bulk
+// reads leave the chunk cache-warm). Without worker threads the costs are
+// folded into the read task (inline) and finishLoad applies the disk/pipe
+// side effects; with Load.Workers > 0 the load runs as separate worker
+// tasks that may execute on other CPUs, and finishLoad dispatches them.
+func (a *App) batchLoad(locality float64) (inlineFixed, inlineMem float64) {
 	var fixed, mem float64
 	diskTotal, pipeTotal, loadBytes := 0, 0, 0
-	for _, cl := range caplens {
+	for _, cl := range a.adm.caplens {
 		pf, pm, db, pb := a.procCost(cl)
 		fixed += pf
 		mem += pm * locality
@@ -236,64 +257,100 @@ func (a *App) batchLoad(caplens []int, locality float64) (inlineFixed, inlineMem
 		pipeTotal += pb
 		loadBytes += cl
 	}
-	apply := func() {
-		if diskTotal > 0 {
-			a.sys.Disk.Write(diskTotal)
-		}
-		if pipeTotal > 0 {
-			a.pipe.write(pipeTotal)
-		}
+	a.load = pendingLoad{fixed: fixed, mem: mem, disk: diskTotal, pipe: pipeTotal, bytes: loadBytes}
+	if a.sys.Load.Workers <= 0 {
+		return fixed, mem
 	}
+	return 0, 0
+}
+
+// applyLoad hands a batch's output to the disk queue and the gzip pipe.
+func (a *App) applyLoad(disk, pipe int) {
+	if disk > 0 {
+		a.sys.Disk.Write(disk)
+	}
+	if pipe > 0 {
+		a.pipe.write(pipe)
+	}
+}
+
+// finishLoad applies the load of the read that just completed.
+func (a *App) finishLoad() {
+	ld := a.load
 	workers := a.sys.Load.Workers
 	if workers <= 0 {
-		return fixed, mem, apply
+		a.applyLoad(ld.disk, ld.pipe)
+		return
 	}
 	// Worker mode: the reader only pays the hand-off; the analysis load is
 	// split over up to `workers` tasks dispatched to whatever CPUs are
 	// free. Backpressure: the reader blocks once too many bytes are in
-	// flight (blockedOnBackpressure checks workerOutstanding).
-	return 0, 0, func() {
-		n := len(caplens)
-		if n == 0 {
-			apply()
-			return
-		}
-		parts := workers
-		if parts > n {
-			parts = n
-		}
-		a.workerOutstanding += loadBytes
-		a.gWorker.observe(a.workerOutstanding)
-		fixedPer := fixed / float64(parts)
-		memPer := mem / float64(parts)
-		bytesPer := loadBytes / parts
-		for i := 0; i < parts; i++ {
-			last := i == parts-1
-			rel := bytesPer
-			if last {
-				rel = loadBytes - bytesPer*(parts-1)
-			}
-			doApply := last // side effects once per batch, with the last part
-			a.sys.Machine.SubmitUser(&sim.Task{
-				Name:         "worker",
-				Prio:         sim.PrioUser,
-				FixedNS:      fixedPer,
-				MemBytes:     memPer,
-				MemNsPerByte: a.sys.umemNs(),
-				OnDone: func() {
-					a.workerOutstanding -= rel
-					a.gWorker.observe(a.workerOutstanding)
-					if doApply {
-						apply()
-					}
-					if a.state == stBlockedWorkers &&
-						a.workerOutstanding < a.sys.Costs.WorkerQueueBytes/2 {
-						a.resume()
-					}
-				},
-			})
-		}
+	// flight (blockedOnBackpressure checks workerOutstanding). Several
+	// batches' workers can be in flight at once, so each part is its own
+	// task.
+	n := len(a.adm.caplens)
+	if n == 0 {
+		a.applyLoad(ld.disk, ld.pipe)
+		return
 	}
+	parts := workers
+	if parts > n {
+		parts = n
+	}
+	loadBytes := ld.bytes
+	a.workerOutstanding += loadBytes
+	a.gWorker.observe(a.workerOutstanding)
+	fixedPer := ld.fixed / float64(parts)
+	memPer := ld.mem / float64(parts)
+	bytesPer := loadBytes / parts
+	for i := 0; i < parts; i++ {
+		last := i == parts-1
+		rel := bytesPer
+		if last {
+			rel = loadBytes - bytesPer*(parts-1)
+		}
+		a.sys.Machine.SubmitUser(&sim.Task{
+			Name:         "worker",
+			Prio:         sim.PrioUser,
+			FixedNS:      fixedPer,
+			MemBytes:     memPer,
+			MemNsPerByte: a.sys.umemNs(),
+			OnDone: func() {
+				a.workerOutstanding -= rel
+				a.gWorker.observe(a.workerOutstanding)
+				if last { // side effects once per batch, with the last part
+					a.applyLoad(ld.disk, ld.pipe)
+				}
+				if a.state == stBlockedWorkers &&
+					a.workerOutstanding < a.sys.Costs.WorkerQueueBytes/2 {
+					a.resume()
+				}
+			},
+		})
+	}
+}
+
+// submitRead completes and submits the read task a stack has priced:
+// fixed and mem are the stack's own costs for the batch; the policy
+// decision and the admitted packets' load are added here. The stack must
+// have bound a.read.OnDone to its completion, which calls completeRead.
+func (a *App) submitRead(name string, batch []kpkt, occ, fixed, mem, locality float64) {
+	a.admitBatch(batch, occ)
+	fixed += a.adm.policyNS
+	loadFixed, loadMem := a.batchLoad(locality)
+	fixed += loadFixed
+	mem += loadMem
+	t := &a.read
+	t.Name, t.FixedNS, t.MemBytes = name, fixed, mem
+	a.submitWork(t, fixed+mem*a.sys.umemNs())
+}
+
+// completeRead books the finished read and applies its load; the app is
+// idle again, ready for the stack to start its next read.
+func (a *App) completeRead() {
+	a.finishRead()
+	a.finishLoad()
+	a.state = stIdle
 }
 
 // blockedOnBackpressure checks disk, pipe and worker backpressure before

@@ -10,6 +10,11 @@ import "repro/internal/sim"
 type bsdStack struct {
 	sys  *System
 	atts []*batt
+
+	// accepts holds the per-attachment decisions irqCost made for the
+	// packet whose interrupt task is running; irqDone applies them.
+	// Interrupt tasks run strictly one at a time, so one buffer suffices.
+	accepts []bsdAccept
 }
 
 // batt is one BPF attachment (/dev/bpfN) with its double buffer.
@@ -23,6 +28,7 @@ type batt struct {
 
 	timeoutArmed bool
 	timeout      sim.EventRef
+	onTimeout    func() // bound once: fires readTimeout for this attachment
 
 	Drops  uint64
 	Stored uint64
@@ -39,7 +45,13 @@ func newBSDStack(s *System) *bsdStack {
 	st := &bsdStack{sys: s}
 	for i, a := range s.apps {
 		// The gauge watches one half (STORE) of the double buffer.
-		st.atts = append(st.atts, &batt{app: a, gauge: s.newGauge("bpf-store", i, s.BufferBytes)})
+		att := &batt{app: a, gauge: s.newGauge("bpf-store", i, s.BufferBytes)}
+		att.onTimeout = func() { st.readTimeout(att) }
+		st.atts = append(st.atts, att)
+		a.read.OnDone = func() {
+			a.completeRead()
+			st.appStart(a)
+		}
 	}
 	return st
 }
@@ -86,16 +98,16 @@ type bsdAccept struct {
 // The decision is made here because interrupt tasks execute strictly in
 // order; an application read between decision and execution can only free
 // space, making the decision conservative.
-func (st *bsdStack) irqCost(data []byte) (float64, float64, any) {
+func (st *bsdStack) irqCost(data []byte) (float64, float64) {
 	c := &st.sys.Costs
 	fixed := c.MbufNS
 	var mem float64
-	var accepts []bsdAccept
+	st.accepts = st.accepts[:0]
 	for _, att := range st.atts {
 		caplen, fcost := st.sys.runFilter(data)
 		fixed += fcost
 		if caplen == 0 {
-			accepts = append(accepts, bsdAccept{att: att, reject: true})
+			st.accepts = append(st.accepts, bsdAccept{att: att, reject: true})
 			continue
 		}
 		acc := bsdAccept{att: att, caplen: caplen}
@@ -118,14 +130,13 @@ func (st *bsdStack) irqCost(data []byte) (float64, float64, any) {
 			fixed += c.BpfStoreNS
 			mem += float64(caplen + c.BpfHdrBytes)
 		}
-		accepts = append(accepts, acc)
+		st.accepts = append(st.accepts, acc)
 	}
-	return fixed, mem, accepts
+	return fixed, mem
 }
 
-func (st *bsdStack) irqDone(data []byte, aux any) {
-	accepts, _ := aux.([]bsdAccept)
-	for _, acc := range accepts {
+func (st *bsdStack) irqDone(data []byte) {
+	for _, acc := range st.accepts {
 		att := acc.att
 		if acc.reject {
 			st.sys.recordDrop(CauseFilter, len(data))
@@ -215,22 +226,25 @@ func (st *bsdStack) armTimeout(att *batt) {
 		return
 	}
 	att.timeoutArmed = true
-	att.timeout = st.sys.Sim.After(sim.Time(st.sys.Costs.ReadTimeoutNS), func() {
-		att.timeoutArmed = false
-		if att.app.state != stWaitingRead {
-			return
-		}
-		if att.store.bytes > 0 || att.ready {
-			att.app.state = stIdle
-			st.appStart(att.app)
-			return
-		}
-		if !st.sys.genDone {
-			st.armTimeout(att) // keep the blocking read's timer running
-			return
-		}
-		att.app.state = stIdle // no more data will ever arrive
-	})
+	att.timeout = st.sys.Sim.After(sim.Time(st.sys.Costs.ReadTimeoutNS), att.onTimeout)
+}
+
+// readTimeout fires an attachment's armed read timeout.
+func (st *bsdStack) readTimeout(att *batt) {
+	att.timeoutArmed = false
+	if att.app.state != stWaitingRead {
+		return
+	}
+	if att.store.bytes > 0 || att.ready {
+		att.app.state = stIdle
+		st.appStart(att.app)
+		return
+	}
+	if !st.sys.genDone {
+		st.armTimeout(att) // keep the blocking read's timer running
+		return
+	}
+	att.app.state = stIdle // no more data will ever arrive
 }
 
 // consumeHold reads the whole HOLD buffer in one syscall — FreeBSD's bulk
@@ -239,7 +253,6 @@ func (st *bsdStack) consumeHold(a *App, att *batt) {
 	c := &st.sys.Costs
 	chunk := att.hold.pkts
 	chunkBytes := att.hold.bytes
-	att.hold = bpfBuf{pkts: make([]kpkt, 0, cap(chunk))}
 	att.ready = false
 	a.state = stRunning
 
@@ -265,30 +278,14 @@ func (st *bsdStack) consumeHold(a *App, att *batt) {
 	// the time the HOLD is consumed, store occupancy is the freshest
 	// congestion signal this attachment has.
 	occ := a.occupancy(float64(att.store.bytes) / float64(st.sys.BufferBytes))
-	adm := a.admitBatch(chunk, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, locality)
-	fixed += loadFixed
-	mem += loadMem
-	n := len(chunk)
-	a.inflightPkts = n
+	a.inflightPkts = len(chunk)
 	for _, p := range chunk {
 		a.inflightBytes += uint64(p.caplen)
 	}
-	est := fixed + mem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "bpf-read",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.submitRead("bpf-read", chunk, occ, fixed, mem, locality)
+	// The chunk is now in user space: the read's admission and load hold
+	// everything the completion needs, so the HOLD half is free again.
+	att.hold.reset()
 }
 
 func (st *bsdStack) pending() bool {

@@ -117,8 +117,8 @@ func TestPacketConservationLinux(t *testing.T) {
 	if sk.Enqueued != st.AppCaptured[0] {
 		t.Fatalf("drain incomplete: enqueued %d, captured %d", sk.Enqueued, st.AppCaptured[0])
 	}
-	if len(sk.queue) != 0 || sk.bytes != 0 {
-		t.Fatalf("socket not drained: %d packets, %d bytes", len(sk.queue), sk.bytes)
+	if sk.queue.len() != 0 || sk.bytes != 0 {
+		t.Fatalf("socket not drained: %d packets, %d bytes", sk.queue.len(), sk.bytes)
 	}
 }
 

@@ -81,8 +81,8 @@ func runMatrix(t *testing.T, cfg Config) matrixResult {
 			if sk.bytes < 0 {
 				t.Fatalf("negative rcvbuf accounting: %d", sk.bytes)
 			}
-			if len(sk.queue) != 0 {
-				t.Fatalf("socket not drained: %d packets", len(sk.queue))
+			if sk.queue.len() != 0 {
+				t.Fatalf("socket not drained: %d packets", sk.queue.len())
 			}
 		}
 		napps := uint64(len(stk.socks))

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/filter"
+	"repro/internal/pktgen"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -174,7 +175,11 @@ func TestFaultLossConservation(t *testing.T) {
 
 // TestSystemReuseIdentical is the regression test for stale per-run state
 // (accumulated busy counters and the RunWithArrivals gap index): a reused
-// System fed the identical train must report identical Stats.
+// System fed the identical train must report identical Stats. Every
+// receive path keeps its pipeline-stage tasks and buffers across runs, so
+// the check covers each named system, the ring variants of the Linux
+// stack and multi-app fan-out, and a truncated run — packets abandoned in
+// every stage, then booked by recordRemnants — followed by a normal one.
 func TestSystemReuseIdentical(t *testing.T) {
 	cfg := scaled(swanCfg(), 5000)
 	gaps := trace.SelfSimilarArrivals(5000, 6000, 16, 1.5, 9)
@@ -195,6 +200,70 @@ func TestSystemReuseIdentical(t *testing.T) {
 	if err := second.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+
+	legacy := func(packets int) *pktgen.Generator { return newGen(packets, 900, 5) }
+	modern := func(packets int) *pktgen.Generator { return newModernGen(packets, 40000, 5) }
+	fourApps := swanCfg()
+	fourApps.NumApps = 4
+	mmap, pfring := swanCfg(), swanCfg()
+	mmap.MmapPatch = true
+	pfring.PFRing = true
+	osprey := modernCfg("osprey", StackPoll, 1)
+	osprey.Costs = DefaultCosts()
+	// A coarse spin grain keeps the 600 s the truncated run idles through
+	// to a few thousand polls.
+	osprey.Costs.PollIdleNS = 1e7
+	kite4 := modernCfg("kite", StackZeroCopy, 4)
+	cases := []struct {
+		cfg   Config
+		train func(packets int) *pktgen.Generator
+	}{
+		{Config{Name: "swan", Arch: arch.Opteron244(), OS: Linux}, legacy},
+		{Config{Name: "snipe", Arch: arch.Xeon306(), OS: Linux}, legacy},
+		{Config{Name: "moorhen", Arch: arch.Opteron244(), OS: FreeBSD}, legacy},
+		{Config{Name: "flamingo", Arch: arch.Xeon306(), OS: FreeBSD, KernelCostFactor: 1.9}, legacy},
+		{modernCfg("heron", StackRSS, 1), modern},
+		{osprey, modern},
+		{modernCfg("kite", StackZeroCopy, 1), modern},
+		{withName(mmap, "swan-mmap"), legacy},
+		{withName(pfring, "swan-pfring"), legacy},
+		{withName(fourApps, "swan-4apps"), legacy},
+		{withName(kite4, "kite-4apps"), modern},
+	}
+	for _, c := range cases {
+		t.Run(c.cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			const packets = 3000
+			cfg := scaled(c.cfg, packets)
+			want := NewSystem(cfg).Run(c.train(packets))
+
+			sys := NewSystem(cfg)
+			// A livelocking per-packet load strands packets in every
+			// stage until the safety cap truncates the run; housekeeping
+			// is off so the capped 600 s stay cheap to simulate.
+			sys.Costs.AppPerPktNS = 5e12
+			sys.Costs.HousekeepNS = 0
+			trunc := sys.Run(c.train(400))
+			sys.Costs = cfg.Costs
+			if !trunc.Truncated || trunc.Ledger.Drops[CauseAbandoned].Packets == 0 {
+				t.Fatalf("livelocked run not truncated with abandoned packets: %+v", trunc.Ledger.Drops[CauseAbandoned])
+			}
+			if err := trunc.CheckConservation(); err != nil {
+				t.Fatalf("truncated run: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				got := sys.Run(c.train(packets))
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("run %d after the truncated run differs from a fresh system:\n%+v\nvs\n%+v", i+1, got, want)
+				}
+			}
+		})
+	}
+}
+
+func withName(cfg Config, name string) Config {
+	cfg.Name = name
+	return cfg
 }
 
 // TestExplainGolden locks the Explain() rendering of a deterministic lossy

@@ -11,11 +11,19 @@ import "repro/internal/sim"
 type linuxStack struct {
 	sys *System
 
-	backlog      []kpkt
+	backlog      fifo[kpkt]
 	backlogDrops uint64
 	softirqOn    bool
-	inflight     []kpkt // the batch a scheduled softirq pass is processing
 	gBacklog     *Gauge
+
+	// The softirq stage: one NET_RX pass in flight at most. inflight is
+	// the batch the scheduled pass is processing; delivers and the reject
+	// tally are what the pass applies when it completes.
+	softirq     sim.Task
+	inflight    []kpkt
+	delivers    []delivery
+	rejects     int
+	rejectBytes uint64
 
 	socks []*lsock
 }
@@ -23,7 +31,7 @@ type linuxStack struct {
 // lsock is one PF_PACKET socket with its receive-buffer accounting.
 type lsock struct {
 	app      *App
-	queue    []kpkt
+	queue    fifo[kpkt]
 	bytes    int
 	gauge    *Gauge
 	Drops    uint64
@@ -33,30 +41,36 @@ type lsock struct {
 func newLinuxStack(s *System) *linuxStack {
 	st := &linuxStack{sys: s}
 	st.gBacklog = s.newGauge("backlog", -1, s.Costs.BacklogLen)
+	st.softirq = sim.Task{Name: "net-rx-softirq", Prio: sim.PrioSoftIRQ,
+		MemNsPerByte: s.kmemNs(), OnDone: st.softirqDone}
 	for i, a := range s.apps {
 		st.socks = append(st.socks, &lsock{app: a, gauge: s.newGauge("rcvbuf", i, s.BufferBytes)})
+		a.read.OnDone = func() {
+			a.completeRead()
+			st.appStart(a)
+		}
 	}
 	return st
 }
 
 func (st *linuxStack) reset() {
-	st.backlog = st.backlog[:0]
+	st.backlog.reset()
 	st.backlogDrops = 0
 	st.softirqOn = false
-	st.inflight = nil
+	st.inflight = st.inflight[:0]
 	for _, sk := range st.socks {
-		sk.queue = sk.queue[:0]
+		sk.queue.reset()
 		sk.bytes = 0
 		sk.Drops, sk.Enqueued = 0, 0
 	}
 }
 
 func (st *linuxStack) remnants() (shared []kpkt, perApp [][]kpkt) {
-	shared = append(shared, st.backlog...)
+	shared = append(shared, st.backlog.items()...)
 	shared = append(shared, st.inflight...)
 	perApp = make([][]kpkt, len(st.socks))
 	for i, sk := range st.socks {
-		perApp[i] = sk.queue
+		perApp[i] = sk.queue.items()
 	}
 	return shared, perApp
 }
@@ -65,23 +79,23 @@ func (st *linuxStack) remnants() (shared []kpkt, perApp [][]kpkt) {
 // No payload copy happens here (the card DMAed the frame already). The
 // PF_RING-style stack skips the skb allocation: the driver hands the raw
 // buffer straight towards the ring.
-func (st *linuxStack) irqCost(data []byte) (float64, float64, any) {
+func (st *linuxStack) irqCost(data []byte) (float64, float64) {
 	c := &st.sys.Costs
 	if st.sys.PFRing {
-		return c.RingInsertNS + c.BacklogEnqNS, 0, nil
+		return c.RingInsertNS + c.BacklogEnqNS, 0
 	}
-	return c.SkbAllocNS + c.BacklogEnqNS, 0, nil
+	return c.SkbAllocNS + c.BacklogEnqNS, 0
 }
 
-func (st *linuxStack) irqDone(data []byte, _ any) {
-	if len(st.backlog) >= st.sys.Costs.BacklogLen {
+func (st *linuxStack) irqDone(data []byte) {
+	if st.backlog.len() >= st.sys.Costs.BacklogLen {
 		st.backlogDrops++
 		st.sys.recordDrop(CauseBacklog, len(data))
 		st.gBacklog.overflow()
 		return
 	}
-	st.backlog = append(st.backlog, kpkt{data: data})
-	st.gBacklog.observe(len(st.backlog))
+	st.backlog.push(kpkt{data: data})
+	st.gBacklog.observe(st.backlog.len())
 	if !st.softirqOn {
 		st.softirqOn = true
 		st.scheduleSoftirq()
@@ -98,22 +112,17 @@ type delivery struct {
 // softirq pass on CPU 0 (softirqs run on the CPU that took the interrupt).
 func (st *linuxStack) scheduleSoftirq() {
 	c := &st.sys.Costs
-	n := len(st.backlog)
+	n := st.backlog.len()
 	if n > c.SoftirqQuota {
 		n = c.SoftirqQuota
 	}
-	batch := make([]kpkt, n)
-	copy(batch, st.backlog[:n])
-	copy(st.backlog, st.backlog[n:])
-	st.backlog = st.backlog[:len(st.backlog)-n]
-	st.inflight = batch
+	st.inflight = st.backlog.popN(st.inflight[:0], n)
 
 	ring := st.sys.MmapPatch || st.sys.PFRing
 	var fixed, mem float64
-	var delivers []delivery
-	rejects := 0
-	var rejectBytes uint64
-	for _, p := range batch {
+	st.delivers = st.delivers[:0]
+	st.rejects, st.rejectBytes = 0, 0
+	for _, p := range st.inflight {
 		perPkt := c.SoftirqPerPktNS
 		if st.sys.PFRing {
 			// The ring stack bypasses most of netif_receive_skb.
@@ -124,8 +133,8 @@ func (st *linuxStack) scheduleSoftirq() {
 			caplen, fcost := st.sys.runFilter(p.data)
 			fixed += fcost
 			if caplen == 0 {
-				rejects++
-				rejectBytes += uint64(len(p.data))
+				st.rejects++
+				st.rejectBytes += uint64(len(p.data))
 				continue
 			}
 			if st.sys.PFRing {
@@ -141,44 +150,43 @@ func (st *linuxStack) scheduleSoftirq() {
 				// in softirq context.
 				mem += float64(caplen)
 			}
-			delivers = append(delivers, delivery{sk, kpkt{data: p.data, caplen: caplen}})
+			st.delivers = append(st.delivers, delivery{sk, kpkt{data: p.data, caplen: caplen}})
 		}
 	}
-	st.sys.cpu0().Submit(&sim.Task{
-		Name:         "net-rx-softirq",
-		Prio:         sim.PrioSoftIRQ,
-		FixedNS:      st.sys.kfixed(fixed),
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.kmemNs(),
-		OnDone: func() {
-			// The pass has run: the batch packets are now either rejected,
-			// dropped at a socket, or queued — no longer in flight.
-			st.inflight = nil
-			st.sys.ledger.RecordN(CauseFilter, rejects, rejectBytes,
-				st.sys.Sim.Now()-st.sys.runStart)
-			for _, dv := range delivers {
-				overhead := dv.p.caplen + st.sys.Costs.SkbOverhead
-				if dv.sk.bytes+overhead > st.sys.BufferBytes {
-					dv.sk.Drops++
-					st.sys.recordDrop(CauseRcvbuf, dv.p.caplen)
-					dv.sk.gauge.overflow()
-					continue
-				}
-				dv.sk.queue = append(dv.sk.queue, dv.p)
-				dv.sk.bytes += overhead
-				dv.sk.gauge.observe(dv.sk.bytes)
-				dv.sk.Enqueued++
-				if dv.sk.app.state == stIdle {
-					st.appStart(dv.sk.app)
-				}
-			}
-			if len(st.backlog) > 0 {
-				st.scheduleSoftirq()
-			} else {
-				st.softirqOn = false
-			}
-		},
-	})
+	st.softirq.FixedNS = st.sys.kfixed(fixed)
+	st.softirq.MemBytes = mem
+	st.sys.cpu0().Submit(&st.softirq)
+}
+
+// softirqDone applies a completed softirq pass and schedules the next
+// while the backlog holds packets.
+func (st *linuxStack) softirqDone() {
+	// The pass has run: the batch packets are now either rejected,
+	// dropped at a socket, or queued — no longer in flight.
+	st.inflight = st.inflight[:0]
+	st.sys.ledger.RecordN(CauseFilter, st.rejects, st.rejectBytes,
+		st.sys.Sim.Now()-st.sys.runStart)
+	for _, dv := range st.delivers {
+		overhead := dv.p.caplen + st.sys.Costs.SkbOverhead
+		if dv.sk.bytes+overhead > st.sys.BufferBytes {
+			dv.sk.Drops++
+			st.sys.recordDrop(CauseRcvbuf, dv.p.caplen)
+			dv.sk.gauge.overflow()
+			continue
+		}
+		dv.sk.queue.push(dv.p)
+		dv.sk.bytes += overhead
+		dv.sk.gauge.observe(dv.sk.bytes)
+		dv.sk.Enqueued++
+		if dv.sk.app.state == stIdle {
+			st.appStart(dv.sk.app)
+		}
+	}
+	if st.backlog.len() > 0 {
+		st.scheduleSoftirq()
+	} else {
+		st.softirqOn = false
+	}
 }
 
 // appStart runs one read burst of the application's loop: up to AppBatch
@@ -190,7 +198,7 @@ func (st *linuxStack) appStart(a *App) {
 		return
 	}
 	sk := st.socks[a.idx]
-	if len(sk.queue) == 0 {
+	if sk.queue.len() == 0 {
 		a.state = stIdle
 		return
 	}
@@ -200,14 +208,11 @@ func (st *linuxStack) appStart(a *App) {
 	a.state = stRunning
 
 	c := &st.sys.Costs
-	n := len(sk.queue)
+	n := sk.queue.len()
 	if n > c.AppBatch {
 		n = c.AppBatch
 	}
-	batch := make([]kpkt, n)
-	copy(batch, sk.queue[:n])
-	copy(sk.queue, sk.queue[n:])
-	sk.queue = sk.queue[:len(sk.queue)-n]
+	a.batch = sk.queue.popN(a.batch[:0], n)
 
 	// Occupancy is observed before the batch is drained: the controller
 	// sees the rcvbuf as the wakeup found it.
@@ -215,7 +220,7 @@ func (st *linuxStack) appStart(a *App) {
 
 	ring := st.sys.MmapPatch || st.sys.PFRing
 	var fixed, mem float64
-	for _, p := range batch {
+	for _, p := range a.batch {
 		sk.bytes -= p.caplen + c.SkbOverhead
 		if ring {
 			fixed += st.sys.ufixed(c.MmapPerPktNS)
@@ -226,33 +231,15 @@ func (st *linuxStack) appStart(a *App) {
 		a.inflightBytes += uint64(p.caplen)
 	}
 	a.inflightPkts = n
-	adm := a.admitBatch(batch, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, 1.0)
-	fixed += loadFixed
-	mem += loadMem
-	est := fixed + mem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "recv",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.submitRead("recv", a.batch, occ, fixed, mem, 1.0)
 }
 
 func (st *linuxStack) pending() bool {
-	if len(st.backlog) > 0 || st.softirqOn {
+	if st.backlog.len() > 0 || st.softirqOn {
 		return true
 	}
 	for _, sk := range st.socks {
-		if len(sk.queue) > 0 {
+		if sk.queue.len() > 0 {
 			return true
 		}
 	}

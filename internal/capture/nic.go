@@ -11,13 +11,20 @@ import "repro/internal/sim"
 // Optional interrupt moderation delays the first interrupt to batch
 // arrivals, at the price of timestamp accuracy.
 type NIC struct {
-	sys *System
+	sys   *System
+	stack irqStack
 
-	ring      []kpkt
+	ring      fifo[kpkt]
 	irqActive bool
-	modWait   bool  // first interrupt delayed by the moderation window
-	inflight  *kpkt // packet popped from the ring, hardirq task running
+	modWait   bool // first interrupt delayed by the moderation window
+	holding   bool // inflight was popped from the ring, hardirq task running
+	inflight  kpkt
 	gauge     *Gauge
+
+	// The hardirq stage: one task, refilled per packet; modFn ends a
+	// moderation window. Both callbacks are bound once in newNIC.
+	irq   sim.Task
+	modFn func()
 
 	Drops     uint64 // ring overflows
 	Delivered uint64 // packets handed to the stack
@@ -26,16 +33,24 @@ type NIC struct {
 	lastStamp  sim.Time
 }
 
+func newNIC(s *System) *NIC {
+	n := &NIC{sys: s}
+	n.gauge = s.newGauge("nic-ring", -1, s.Costs.RingSlots)
+	n.irq = sim.Task{Name: "rx-irq", Prio: sim.PrioHardIRQ, MemNsPerByte: s.kmemNs(), OnDone: n.irqComplete}
+	n.modFn = n.moderationEnd
+	return n
+}
+
 func (n *NIC) reset() {
-	n.ring = n.ring[:0]
-	n.irqActive, n.modWait, n.inflight = false, false, nil
+	n.ring.reset()
+	n.irqActive, n.modWait, n.holding = false, false, false
 	n.Drops, n.Delivered = 0, 0
 	n.burstStamp, n.lastStamp = 0, 0
 }
 
 // Arrive is called at the simulated instant the frame has fully arrived.
 func (n *NIC) Arrive(data []byte) {
-	if len(n.ring) >= n.sys.Costs.RingSlots {
+	if n.ring.len() >= n.sys.Costs.RingSlots {
 		n.Drops++
 		// Attribute the overflow: a ring that filled while the card was
 		// still delaying the first interrupt of a moderation window is the
@@ -48,17 +63,13 @@ func (n *NIC) Arrive(data []byte) {
 		n.gauge.overflow()
 		return
 	}
-	n.ring = append(n.ring, kpkt{data: data, arrival: n.sys.Sim.Now()})
-	n.gauge.observe(len(n.ring))
+	n.ring.push(kpkt{data: data, arrival: n.sys.Sim.Now()})
+	n.gauge.observe(n.ring.len())
 	if !n.irqActive {
 		n.irqActive = true
 		if d := n.sys.Costs.ModerationDelayNS; d > 0 {
 			n.modWait = true
-			n.sys.Sim.After(sim.Time(d), func() {
-				n.modWait = false
-				n.burstStamp = n.sys.Sim.Now()
-				n.serviceNext(true)
-			})
+			n.sys.Sim.After(sim.Time(d), n.modFn)
 		} else {
 			n.burstStamp = n.sys.Sim.Now()
 			n.serviceNext(true)
@@ -66,39 +77,43 @@ func (n *NIC) Arrive(data []byte) {
 	}
 }
 
+// moderationEnd raises the interrupt delayed by the moderation window.
+func (n *NIC) moderationEnd() {
+	n.modWait = false
+	n.burstStamp = n.sys.Sim.Now()
+	n.serviceNext(true)
+}
+
 // serviceNext submits the hardirq task for the next ring entry. The task
 // cost is the driver per-packet cost plus whatever interrupt-context work
 // the OS stack performs for this packet (FreeBSD: filtering and buffer
 // copies; Linux: skb allocation and backlog enqueue).
 func (n *NIC) serviceNext(first bool) {
-	p := n.ring[0]
-	copy(n.ring, n.ring[1:])
-	n.ring = n.ring[:len(n.ring)-1]
-	n.inflight = &p
+	n.inflight = n.ring.pop()
+	n.holding = true
 
-	fixed, memBytes, aux := n.sys.stack.irqCost(p.data)
+	fixed, memBytes := n.stack.irqCost(n.inflight.data)
 	fixed += n.sys.Costs.DriverRxNS
 	if first {
 		fixed += n.sys.Costs.IRQEntryNS
 	}
-	n.sys.cpu0().Submit(&sim.Task{
-		Name:         "rx-irq",
-		Prio:         sim.PrioHardIRQ,
-		FixedNS:      n.sys.kfixed(fixed),
-		MemBytes:     memBytes,
-		MemNsPerByte: n.sys.kmemNs(),
-		OnDone: func() {
-			n.Delivered++
-			n.stamp(p)
-			n.inflight = nil // custody passes to the stack
-			n.sys.stack.irqDone(p.data, aux)
-			if len(n.ring) > 0 {
-				n.serviceNext(false)
-			} else {
-				n.irqActive = false
-			}
-		},
-	})
+	n.irq.FixedNS = n.sys.kfixed(fixed)
+	n.irq.MemBytes = memBytes
+	n.sys.cpu0().Submit(&n.irq)
+}
+
+// irqComplete ends one packet's hardirq task: custody passes to the stack
+// and the handler moves on to the next ring entry, if any.
+func (n *NIC) irqComplete() {
+	n.Delivered++
+	n.stamp(n.inflight)
+	n.holding = false
+	n.stack.irqDone(n.inflight.data)
+	if n.ring.len() > 0 {
+		n.serviceNext(false)
+	} else {
+		n.irqActive = false
+	}
 }
 
 // stamp records the packet's kernel timestamp ("usually performed by the

@@ -20,7 +20,7 @@ type ringServicer interface {
 // pass, one timestamp shared by the pass's batch — the same artifact as
 // the legacy burst stamp, per ring).
 type rxRing struct {
-	pkts      []kpkt
+	pkts      fifo[kpkt]
 	deferred  bool // the last service pass left packets behind (budget/burst cap)
 	delivered uint64
 	drops     uint64
@@ -50,12 +50,20 @@ type rssNIC struct {
 	dmaPkts      int
 	dmaBytes     uint64
 
+	// dma holds the frames whose DMA is in flight. Completions fire in
+	// arrival order (each transfer starts once the previous one ends), so
+	// one FIFO and one callback bound in newRSSNIC replace a closure per
+	// frame.
+	dma     fifo[kpkt]
+	dmaDone func()
+
 	Drops     uint64 // FIFO + ring overflows (the NICDrops aggregate)
 	Delivered uint64 // packets handed to the stack
 }
 
 func newRSSNIC(s *System, nrings int) *rssNIC {
 	n := &rssNIC{sys: s}
+	n.dmaDone = n.completeDMA
 	if gbps := s.Arch.PCIeGbps; gbps > 0 {
 		if m := s.Arch.MemBWGbps; m > 0 && m < gbps {
 			gbps = m
@@ -78,11 +86,12 @@ func newRSSNIC(s *System, nrings int) *rssNIC {
 func (n *rssNIC) reset() {
 	for i := range n.rings {
 		r := &n.rings[i]
-		r.pkts = r.pkts[:0]
+		r.pkts.reset()
 		r.deferred = false
 		r.delivered, r.drops = 0, 0
 		r.lastStamp = 0
 	}
+	n.dma.reset()
 	n.fifoBytes, n.dmaPkts, n.dmaBytes = 0, 0, 0
 	n.linkFree = 0
 	n.Drops, n.Delivered = 0, 0
@@ -123,20 +132,25 @@ func (n *rssNIC) Arrive(data []byte) {
 	}
 	done := start + sim.Time(float64(len(data))*n.dmaNsPerByte+0.5)
 	n.linkFree = done
-	n.sys.Sim.At(done, func() {
-		n.fifoBytes -= len(data)
-		n.fifoGauge.observe(n.fifoBytes)
-		n.dmaPkts--
-		n.dmaBytes -= uint64(len(data))
-		n.land(data, arrival)
-	})
+	n.dma.push(kpkt{data: data, arrival: arrival})
+	n.sys.Sim.At(done, n.dmaDone)
+}
+
+// completeDMA lands the oldest in-flight DMA transfer in its ring.
+func (n *rssNIC) completeDMA() {
+	p := n.dma.pop()
+	n.fifoBytes -= len(p.data)
+	n.fifoGauge.observe(n.fifoBytes)
+	n.dmaPkts--
+	n.dmaBytes -= uint64(len(p.data))
+	n.land(p.data, p.arrival)
 }
 
 // land places a DMA-complete frame into its RSS ring.
 func (n *rssNIC) land(data []byte, arrival sim.Time) {
 	r := n.ringOf(data)
 	ring := &n.rings[r]
-	if len(ring.pkts) >= n.sys.Costs.RSSRingSlots {
+	if ring.pkts.len() >= n.sys.Costs.RSSRingSlots {
 		ring.drops++
 		n.Drops++
 		// Attribute the overflow: a ring that filled while the servicer
@@ -150,41 +164,38 @@ func (n *rssNIC) land(data []byte, arrival sim.Time) {
 		ring.gauge.overflow()
 		return
 	}
-	ring.pkts = append(ring.pkts, kpkt{data: data, arrival: arrival})
-	ring.gauge.observe(len(ring.pkts))
+	ring.pkts.push(kpkt{data: data, arrival: arrival})
+	ring.gauge.observe(ring.pkts.len())
 	if n.kick != nil {
 		n.kick.ringKick(r)
 	}
 }
 
 // depth returns the current occupancy of ring r.
-func (n *rssNIC) depth(r int) int { return len(n.rings[r].pkts) }
+func (n *rssNIC) depth(r int) int { return n.rings[r].pkts.len() }
 
-// popBurst removes up to max packets from ring r and stamps each with the
-// current instant — the service pass's entry time, shared by the whole
-// batch (the per-ring analogue of NIC.stamp: batching still merges
+// popBurst moves up to max packets from ring r onto dst and stamps each
+// with the current instant — the service pass's entry time, shared by the
+// whole batch (the per-ring analogue of NIC.stamp: batching still merges
 // inter-packet gaps). It records whether packets were left behind, which
 // attributes subsequent overflows to the batching budget.
-func (n *rssNIC) popBurst(r, max int) []kpkt {
+func (n *rssNIC) popBurst(r, max int, dst []kpkt) []kpkt {
 	ring := &n.rings[r]
-	count := len(ring.pkts)
+	count := ring.pkts.len()
 	if count > max {
 		count = max
 	}
 	if count == 0 {
 		ring.deferred = false
-		return nil
+		return dst
 	}
-	batch := make([]kpkt, count)
-	copy(batch, ring.pkts[:count])
-	copy(ring.pkts, ring.pkts[count:])
-	ring.pkts = ring.pkts[:len(ring.pkts)-count]
-	ring.deferred = len(ring.pkts) > 0
+	dst = ring.pkts.popN(dst, count)
+	ring.deferred = ring.pkts.len() > 0
 	ring.delivered += uint64(count)
 	n.Delivered += uint64(count)
 
 	ts := n.sys.Sim.Now()
-	for _, p := range batch {
+	for _, p := range dst[len(dst)-count:] {
 		err := ts - p.arrival
 		if err < 0 {
 			err = -err
@@ -199,7 +210,7 @@ func (n *rssNIC) popBurst(r, max int) []kpkt {
 		}
 		ring.lastStamp = ts
 	}
-	return batch
+	return dst
 }
 
 // idle reports whether the NIC holds no packets (no DMA in flight, all
@@ -209,7 +220,7 @@ func (n *rssNIC) idle() bool {
 		return false
 	}
 	for i := range n.rings {
-		if len(n.rings[i].pkts) > 0 {
+		if n.rings[i].pkts.len() > 0 {
 			return false
 		}
 	}
@@ -221,7 +232,7 @@ func (n *rssNIC) idle() bool {
 func (n *rssNIC) remnants() (pkts int, bytes uint64) {
 	pkts, bytes = n.dmaPkts, n.dmaBytes
 	for i := range n.rings {
-		for _, p := range n.rings[i].pkts {
+		for _, p := range n.rings[i].pkts.items() {
 			pkts++
 			bytes += uint64(len(p.data))
 		}

@@ -17,14 +17,12 @@ type Source interface {
 	Next() (pktgen.Packet, bool)
 }
 
-// stack is the OS-specific half of the receive path.
+// stack is the OS-specific half of the receive path. Every stack is a
+// chain of pipeline stages (interrupt, softirq or poll pass, application
+// read), each with at most one task in flight; each stage owns one
+// reusable sim.Task whose OnDone is bound when the stack is built, and
+// the buffers its pass fills, so the per-packet path allocates nothing.
 type stack interface {
-	// irqCost prices the interrupt-context work for one packet (beyond
-	// the shared driver cost) and may precompute state passed to irqDone.
-	irqCost(data []byte) (fixedNS, memBytes float64, aux any)
-	// irqDone applies the interrupt-context state change when the task
-	// completes (enqueue, copy into buffers, wakeups, drops).
-	irqDone(data []byte, aux any)
 	// appStart kicks (or resumes) an application's read loop.
 	appStart(a *App)
 	// pending reports whether the stack still holds undelivered packets.
@@ -38,6 +36,19 @@ type stack interface {
 	// a run is truncated: shared queues (before the per-app fan-out) and
 	// the per-application buffers.
 	remnants() (shared []kpkt, perApp [][]kpkt)
+}
+
+// irqStack is the interrupt-context half of a 2005 stack, driven by the
+// legacy single-queue NIC one packet at a time. Interrupt tasks run
+// strictly in order, so state irqCost prepares for a packet is still
+// current when irqDone applies it.
+type irqStack interface {
+	// irqCost prices the interrupt-context work for one packet beyond the
+	// shared driver cost.
+	irqCost(data []byte) (fixedNS, memBytes float64)
+	// irqDone applies the interrupt-context state change when the task
+	// completes (enqueue, copy into buffers, wakeups, drops).
+	irqDone(data []byte)
 }
 
 // appState tracks what an application is doing.
@@ -66,14 +77,24 @@ type System struct {
 	rss     *rssNIC // RSS multi-queue NIC (nil on the legacy stacks)
 	Disk    *Disk
 
-	stack stack
-	apps  []*App
+	stack        stack
+	apps         []*App
+	housekeepers []*housekeeper // one per CPU
 
 	running   bool
 	genDone   bool
 	genEnd    sim.Time
 	runStart  sim.Time // Sim.Now() when the current run began
 	truncated bool     // the run hit the safety cap with packets in flight
+
+	// The arrival stage: the source being replayed and its one pending
+	// arrival, delivered by the event callback arriveFn (bound once).
+	src      Source
+	gapsNS   []int64
+	gapIdx   int
+	sent     uint64
+	next     pktgen.Packet
+	arriveFn func()
 
 	// Per-CPU, per-priority busy counters bracketing the generation window
 	// (cpusage semantics, §5): snapshot at run start, delta at genEnd.
@@ -140,18 +161,21 @@ func NewSystem(cfg Config) *System {
 	}
 
 	s := &System{Config: cfg, Sim: sim.New()}
+	s.arriveFn = s.onArrival
 	ncpu := cfg.NumCPUs
 	if cfg.Hyperthreading {
 		ncpu *= 2
 	}
 	s.Machine = sim.NewMachine(s.Sim, ncpu, cfg.Hyperthreading)
 	s.Machine.MemContention = cfg.Arch.MemContention
+	for _, cpu := range s.Machine.CPUs {
+		s.housekeepers = append(s.housekeepers, newHousekeeper(s, cpu))
+	}
 	if cfg.Hyperthreading {
 		s.Machine.HTSlowdown = cfg.Arch.HTSlowdown
 	}
 	if cfg.Stack == StackLegacy {
-		s.NIC = &NIC{sys: s}
-		s.NIC.gauge = s.newGauge("nic-ring", -1, s.Costs.RingSlots)
+		s.NIC = newNIC(s)
 	} else {
 		// Clamp the ring count to the CPUs that can service them; poll
 		// mode additionally keeps at least one core free of PMD spin
@@ -184,9 +208,13 @@ func NewSystem(cfg Config) *System {
 		s.stack = st
 		s.rss.kick = st
 	case cfg.OS == Linux:
-		s.stack = newLinuxStack(s)
+		st := newLinuxStack(s)
+		s.stack = st
+		s.NIC.stack = st
 	case cfg.OS == FreeBSD:
-		s.stack = newBSDStack(s)
+		st := newBSDStack(s)
+		s.stack = st
+		s.NIC.stack = st
 	default:
 		panic(fmt.Sprintf("capture: unknown OS %d", cfg.OS))
 	}
@@ -240,29 +268,50 @@ func (s *System) runFilter(data []byte) (caplen int, costNS float64) {
 	return s.caplen(n), cost
 }
 
+// housekeeper is the periodic kernel-housekeeping stage of one CPU. A
+// housekeeping task can still be queued behind interrupt work when the
+// next period fires, so the stage keeps a small pool of tasks rather than
+// a single one; each task returns itself to the pool when it completes.
+type housekeeper struct {
+	sys  *System
+	cpu  *sim.CPU
+	fire func() // bound once: submit one task and re-arm
+	idle []*sim.Task
+}
+
+func newHousekeeper(s *System, cpu *sim.CPU) *housekeeper {
+	h := &housekeeper{sys: s, cpu: cpu}
+	h.fire = h.tick
+	return h
+}
+
+func (h *housekeeper) tick() {
+	s := h.sys
+	if !s.running {
+		return
+	}
+	var t *sim.Task
+	if n := len(h.idle); n > 0 {
+		t = h.idle[n-1]
+		h.idle = h.idle[:n-1]
+	} else {
+		t = &sim.Task{Name: "housekeeping", Prio: sim.PrioKernel}
+		t.OnDone = func() { h.idle = append(h.idle, t) }
+	}
+	t.FixedNS = s.Costs.HousekeepNS
+	h.cpu.Submit(t)
+	s.Sim.After(sim.Time(s.Costs.HousekeepPeriodNS), h.fire)
+}
+
 // startHousekeeping arms the periodic kernel-housekeeping tasks.
 func (s *System) startHousekeeping() {
 	if s.Costs.HousekeepNS <= 0 || s.Costs.HousekeepPeriodNS <= 0 {
 		return
 	}
-	for i, cpu := range s.Machine.CPUs {
-		cpu := cpu
+	for i, h := range s.housekeepers {
 		// Stagger across CPUs so both are never stalled at once.
 		offset := sim.Time(s.Costs.HousekeepPeriodNS * float64(i+1) / float64(len(s.Machine.CPUs)+1))
-		var arm func()
-		arm = func() {
-			if !s.running {
-				return
-			}
-			cpu.Submit(&sim.Task{
-				Name:    "housekeeping",
-				Prio:    sim.PrioKernel,
-				FixedNS: s.Costs.HousekeepNS,
-				OnDone:  func() {},
-			})
-			s.Sim.After(sim.Time(s.Costs.HousekeepPeriodNS), arm)
-		}
-		s.Sim.At(s.Sim.Now()+offset, arm)
+		s.Sim.At(s.Sim.Now()+offset, h.fire)
 	}
 }
 
@@ -272,7 +321,7 @@ func (s *System) quiescent() bool {
 		if !s.rss.idle() || s.stack.pending() {
 			return false
 		}
-	} else if len(s.NIC.ring) > 0 || s.NIC.irqActive || s.stack.pending() {
+	} else if s.NIC.ring.len() > 0 || s.NIC.irqActive || s.stack.pending() {
 		return false
 	}
 	for _, a := range s.apps {
@@ -310,8 +359,9 @@ func (s *System) RunSource(src Source) Stats {
 
 // resetRun clears every per-run counter and state machine so that a System
 // can be reused for another train: the busy-counter baseline is
-// re-snapshotted (cpu.Busy is cumulative), the ledger, gauges, NIC, stack,
-// disk and application state all start fresh.
+// re-snapshotted (cpu.Busy is cumulative), the machine's user-placement
+// history restarts, and the ledger, gauges, NIC, stack, disk and
+// application state all start fresh.
 func (s *System) resetRun() {
 	s.genDone = false
 	s.truncated = false
@@ -332,6 +382,7 @@ func (s *System) resetRun() {
 		a.reset()
 	}
 	s.tsStamped, s.tsErrSum, s.tsErrMax, s.tsTies = 0, 0, 0, 0
+	s.Machine.ResetHistory()
 	ncpu := len(s.Machine.CPUs)
 	if s.busyAtStart == nil {
 		s.busyAtStart = make([][sim.NumPrio]sim.Time, ncpu)
@@ -351,23 +402,7 @@ func (s *System) resetRun() {
 func (s *System) run(src Source, gapsNS []int64) Stats {
 	src.Reset()
 	s.resetRun()
-	gi := 0
-	arrivalAt := func(p pktgen.Packet) sim.Time {
-		if gapsNS == nil {
-			return p.At
-		}
-		var at sim.Time
-		if gi < len(gapsNS) {
-			at = s.Sim.Now() + sim.Time(gapsNS[gi])
-		} else {
-			at = p.At
-		}
-		gi++
-		if at <= s.Sim.Now() {
-			at = s.Sim.Now() + 1
-		}
-		return at
-	}
+	s.src, s.gapsNS, s.gapIdx, s.sent = src, gapsNS, 0, 0
 	s.running = true
 	s.startHousekeeping()
 	// The applications open their capture sessions and enter their first
@@ -379,31 +414,7 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 	if st, ok := s.stack.(interface{ start() }); ok {
 		st.start()
 	}
-
-	var sent uint64
-	var feed func()
-	feed = func() {
-		p, ok := src.Next()
-		if !ok {
-			s.genDone = true
-			s.genEnd = s.Sim.Now()
-			// CPU usage is reported over the generation window, like
-			// cpusage bracketing the measurement (§5): snapshot the busy
-			// counters the moment the last packet has arrived.
-			for i, cpu := range s.Machine.CPUs {
-				for p := sim.Prio(0); p < sim.NumPrio; p++ {
-					s.busyAtGenEnd[i][p] = cpu.Busy(p) - s.busyAtStart[i][p]
-				}
-			}
-			return
-		}
-		sent++
-		s.Sim.At(arrivalAt(p), func() {
-			s.arrive(p.Data)
-			feed()
-		})
-	}
-	feed()
+	s.feed()
 
 	// Advance in windows; stop once generation has ended and the system is
 	// quiescent. The safety cap bounds runaway configurations (a fully
@@ -428,6 +439,8 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 		}
 	}
 	s.running = false
+	sent := s.sent
+	s.src, s.gapsNS = nil, nil
 	if s.truncated {
 		s.recordRemnants()
 		st := s.collectStats(sent)
@@ -440,6 +453,56 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 	s.Sim.Run()
 
 	return s.collectStats(sent)
+}
+
+// feed takes the next packet from the source and schedules its arrival;
+// only one arrival is ever pending. When the source is exhausted it closes
+// the generation window.
+func (s *System) feed() {
+	p, ok := s.src.Next()
+	if !ok {
+		s.genDone = true
+		s.genEnd = s.Sim.Now()
+		// CPU usage is reported over the generation window, like cpusage
+		// bracketing the measurement (§5): snapshot the busy counters the
+		// moment the last packet has arrived.
+		for i, cpu := range s.Machine.CPUs {
+			for p := sim.Prio(0); p < sim.NumPrio; p++ {
+				s.busyAtGenEnd[i][p] = cpu.Busy(p) - s.busyAtStart[i][p]
+			}
+		}
+		return
+	}
+	s.sent++
+	s.next = p
+	s.Sim.At(s.arrivalAt(p), s.arriveFn)
+}
+
+// onArrival delivers the pending packet to the NIC and queues the next.
+func (s *System) onArrival() {
+	s.arrive(s.next.Data)
+	s.feed()
+}
+
+// arrivalAt is the arrival instant of p: the train's own timestamp,
+// counted from the start of the run so a reused System replays a train
+// exactly as a fresh one does, or the next explicit gap when the run
+// replaces the train's pacing.
+func (s *System) arrivalAt(p pktgen.Packet) sim.Time {
+	if s.gapsNS == nil {
+		return s.runStart + p.At
+	}
+	var at sim.Time
+	if s.gapIdx < len(s.gapsNS) {
+		at = s.Sim.Now() + sim.Time(s.gapsNS[s.gapIdx])
+	} else {
+		at = s.runStart + p.At
+	}
+	s.gapIdx++
+	if at <= s.Sim.Now() {
+		at = s.Sim.Now() + 1
+	}
+	return at
 }
 
 // recordRemnants books every packet still in flight at truncation time
@@ -462,10 +525,10 @@ func (s *System) recordRemnants() {
 		sharedPkts += p
 		sharedBytes += b
 	} else {
-		if s.NIC.inflight != nil {
-			count(*s.NIC.inflight)
+		if s.NIC.holding {
+			count(s.NIC.inflight)
 		}
-		for _, p := range s.NIC.ring {
+		for _, p := range s.NIC.ring.items() {
 			count(p)
 		}
 	}

@@ -43,6 +43,13 @@ func (p Prio) String() string {
 // OnDone runs when the task completes; model code chains sequential
 // activities (an application's read loop, a softirq drain, ...) by
 // submitting the next task from OnDone.
+//
+// A Task may be reused: once its OnDone has begun, the task is no longer
+// queued or running anywhere, and the owner may refill its cost fields and
+// submit it again (from OnDone itself or later). Every submission starts
+// the task fresh, whatever preemption it went through before. A stage that
+// never has more than one activity in flight can therefore own a single
+// Task with OnDone bound once, and run allocation-free.
 type Task struct {
 	Name         string
 	Prio         Prio
@@ -90,6 +97,11 @@ type Machine struct {
 	// placement candidates so the SubmitUser hot path stays allocation-free.
 	reserved   []bool
 	unreserved []*CPU
+
+	// Placement history starts at histStart: SubmitUser weighs the kernel
+	// busy time each CPU accrued since then (the CPU's kernBase is its
+	// kernel busy total at that instant). See ResetHistory.
+	histStart Time
 }
 
 // Reserve dedicates CPU id to pinned kernel work (a poll-mode driver
@@ -169,17 +181,16 @@ type CPU struct {
 	ID      int
 	Core    int
 
-	queues  [NumPrio]taskq
-	current *Task
+	queues   [NumPrio]taskq
+	current  *Task
+	kernBase Time // kernel busy total when placement history last restarted
 
 	busy [NumPrio]Time // completed busy time per class
 }
 
 // Submit enqueues t on this CPU and dispatches or preempts as needed.
 func (c *CPU) Submit(t *Task) {
-	if t.OnDone == nil {
-		panic("sim: task without OnDone")
-	}
+	c.admit(t)
 	c.queues[t.Prio].pushBack(t)
 	if c.current == nil {
 		c.dispatch()
@@ -197,9 +208,7 @@ func (c *CPU) Submit(t *Task) {
 // timeslice instead of yielding (Linux 2.6 O(1) scheduler behaviour under
 // streaming load).
 func (c *CPU) SubmitFront(t *Task) {
-	if t.OnDone == nil {
-		panic("sim: task without OnDone")
-	}
+	c.admit(t)
 	c.queues[t.Prio].pushFront(t)
 	if c.current == nil {
 		c.dispatch()
@@ -209,6 +218,18 @@ func (c *CPU) SubmitFront(t *Task) {
 		c.preempt()
 		c.dispatch()
 	}
+}
+
+// admit validates a submission and resets the task's preemption state, so
+// a reused Task always starts fresh.
+func (c *CPU) admit(t *Task) {
+	if t.OnDone == nil {
+		panic("sim: task without OnDone")
+	}
+	if t == c.current {
+		panic("sim: submitting the CPU's running task")
+	}
+	t.remaining = 0
 }
 
 // preempt stops the running task, accounts the elapsed time, and requeues
@@ -344,6 +365,16 @@ func (m *Machine) siblingBusy(self *CPU) bool {
 	return false
 }
 
+// ResetHistory restarts the placement history SubmitUser learns from, as
+// if the machine had just booted: a model that reruns a workload on the
+// same machine places every user task exactly as a fresh machine would.
+func (m *Machine) ResetHistory() {
+	m.histStart = m.Sim.Now()
+	for _, c := range m.CPUs {
+		c.kernBase = kernelBusyTotal(c)
+	}
+}
+
 // SubmitUser places a user task where it is projected to finish earliest:
 // the pending work on each CPU plus the task itself, stretched by the
 // share of the CPU that kernel-side work (interrupts, softirqs) has been
@@ -351,15 +382,16 @@ func (m *Machine) siblingBusy(self *CPU) bool {
 // interrupts runs user work slowly. Ties are broken by accumulated kernel
 // busy time, then by CPU ID for determinism.
 func (m *Machine) SubmitUser(t *Task) *CPU {
+	t.remaining = 0 // the placement estimate must see a fresh task
 	cands := m.CPUs
 	if len(m.unreserved) > 0 {
 		cands = m.unreserved
 	}
 	best := cands[0]
 	bestScore := m.finishScore(best, t)
-	bestKern := kernelBusyTotal(best)
+	bestKern := kernelBusyTotal(best) - best.kernBase
 	for _, c := range cands[1:] {
-		s, k := m.finishScore(c, t), kernelBusyTotal(c)
+		s, k := m.finishScore(c, t), kernelBusyTotal(c)-c.kernBase
 		if s < bestScore || (s == bestScore && k < bestKern) {
 			best, bestScore, bestKern = c, s, k
 		}
@@ -371,8 +403,8 @@ func (m *Machine) SubmitUser(t *Task) *CPU {
 // finishScore projects when t would complete on c.
 func (m *Machine) finishScore(c *CPU, t *Task) float64 {
 	avail := 1.0
-	if now := m.Sim.Now(); now > 0 {
-		kfrac := float64(kernelBusyTotal(c)) / float64(now)
+	if span := m.Sim.Now() - m.histStart; span > 0 {
+		kfrac := float64(kernelBusyTotal(c)-c.kernBase) / float64(span)
 		avail = 1 - kfrac
 		if avail < 0.1 {
 			avail = 0.1

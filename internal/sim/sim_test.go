@@ -518,3 +518,68 @@ func TestSubmitUserAllReservedFallsBack(t *testing.T) {
 		t.Fatal("no CPU chosen")
 	}
 }
+
+// TestReusedTaskStartsFresh pins the task-reuse contract: a task that was
+// preempted, then completed, and is resubmitted from its own OnDone runs
+// its full duration again rather than the leftover fraction of the
+// preempted run.
+func TestReusedTaskStartsFresh(t *testing.T) {
+	s := New()
+	m := NewMachine(s, 1, false)
+	c := m.CPUs[0]
+	var done []Time
+	task := &Task{Name: "stage", Prio: PrioUser, FixedNS: 1000}
+	task.OnDone = func() {
+		done = append(done, s.Now())
+		if len(done) == 1 {
+			c.Submit(task)
+		}
+	}
+	c.Submit(task)
+	s.At(400, func() {
+		c.Submit(&Task{Name: "irq", Prio: PrioHardIRQ, FixedNS: 100, OnDone: func() {}})
+	})
+	s.Run()
+	// First run: 400 ns, preempted for 100 ns, 600 ns left → done at 1100.
+	// Second run: a fresh 1000 ns → done at 2100.
+	if len(done) != 2 || done[0] != 1100 || done[1] != 2100 {
+		t.Fatalf("completions at %v, want [1.1µs 2.1µs]", done)
+	}
+	if got := c.Busy(PrioUser); got != 2000 {
+		t.Fatalf("user busy = %v, want 2µs", got)
+	}
+}
+
+// TestReusedTaskPlacementSeesFreshTask: SubmitUser estimates a reused
+// task's finish time from its full cost, not a stale preempted fraction.
+func TestReusedTaskPlacementSeesFreshTask(t *testing.T) {
+	s := New()
+	m := NewMachine(s, 1, false)
+	task := &Task{Name: "stage", Prio: PrioUser, FixedNS: 1000, OnDone: func() {}}
+	task.remaining = 0.25 // as left behind by an earlier preemption
+	if got := m.finishScore(m.CPUs[0], task); got != 250 {
+		t.Fatalf("precondition: stale estimate %v, want 250", got)
+	}
+	m.SubmitUser(task)
+	if got := task.estNS(); got != 1000 {
+		t.Fatalf("estimate after SubmitUser = %v, want 1000", got)
+	}
+}
+
+func TestSubmitRunningTaskPanics(t *testing.T) {
+	s := New()
+	m := NewMachine(s, 1, false)
+	c := m.CPUs[0]
+	task := &Task{Name: "stage", Prio: PrioUser, FixedNS: 1000, OnDone: func() {}}
+	c.Submit(task)
+	for _, submit := range []func(*Task){c.Submit, c.SubmitFront} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("submitting the running task did not panic")
+				}
+			}()
+			submit(task)
+		}()
+	}
+}
