@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/capture"
+	"repro/internal/core"
 )
 
 // TestWhyFlagAppendsCauses checks the -why plumbing: with Why off the
@@ -119,5 +121,61 @@ func TestWhyAndJSONGolden(t *testing.T) {
 		if got != string(want) {
 			t.Fatalf("%s drifted:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 		}
+	}
+}
+
+// TestChaosGolden locks the -chaos output of the three sweep shapes (rate
+// sweep, buffer sweep, multi-app) against a golden file: the rendered
+// table with its chaos bookkeeping, the buffered NDJSON records, and the
+// streamed NDJSON rows the -json writer builds from EventPoint events.
+// The run is parallel, so the point stream's head-of-line sequencing is
+// part of what is pinned.
+func TestChaosGolden(t *testing.T) {
+	var got strings.Builder
+	for _, id := range []string{"fig6.2-nosmp", "fig6.4-nosmp", "fig6.7"} {
+		e, err := Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{Chaos: 7, Packets: 2000, Reps: 3, Parallelism: 2}
+		got.WriteString("==== " + id + " table ====\n")
+		got.WriteString(e.Run(o))
+
+		var stream strings.Builder
+		streamEnc := json.NewEncoder(&stream)
+		var mu sync.Mutex
+		o.Observer = core.ObserverFunc(func(ev core.Event) {
+			if ev.Kind != core.EventPoint || ev.Agg == nil {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err := streamEnc.Encode(PointRecord(ev.Experiment, *ev.Agg)); err != nil {
+				t.Error(err)
+			}
+		})
+		got.WriteString("==== " + id + " records ====\n")
+		enc := json.NewEncoder(&got)
+		for _, r := range Records(e, o) {
+			if err := enc.Encode(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got.WriteString("==== " + id + " stream ====\n")
+		got.WriteString(stream.String())
+	}
+
+	golden := filepath.Join("testdata", "chaos.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("chaos.golden drifted:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }
