@@ -240,8 +240,11 @@ func (st *bsdStack) readTimeout(att *batt) {
 		st.appStart(att.app)
 		return
 	}
-	if !st.sys.genDone {
-		st.armTimeout(att) // keep the blocking read's timer running
+	// Keep the blocking read's timer running while a packet can still
+	// reach STORE: the generator is still sending, or the last frames are
+	// in the NIC ring or the interrupt path.
+	if nic := st.sys.NIC; !st.sys.genDone || nic.ring.len() > 0 || nic.irqActive {
+		st.armTimeout(att)
 		return
 	}
 	att.app.state = stIdle // no more data will ever arrive

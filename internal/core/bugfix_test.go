@@ -149,3 +149,21 @@ func TestFormatTableMultiGig(t *testing.T) {
 		t.Fatalf("multi-gig rendering:\ngot  %q\nwant %q", got, want)
 	}
 }
+
+// TestBSDReadTimeoutKeepsArmedWhilePacketInFlight is the regression test
+// for a stranded FreeBSD reader: when the generator finished while the
+// last packet was still in the NIC ring or the interrupt path, the read
+// timeout parked the reader for good, the packet landed in STORE with no
+// one left to read it, and the run spun to the simulation safety cap
+// (Truncated, the packet abandoned).
+func TestBSDReadTimeoutKeepsArmedWhilePacketInFlight(t *testing.T) {
+	cfg := Flamingo()
+	cfg.NumCPUs = 2
+	st := RunOnce(cfg, Workload{Packets: 2000, Seed: 37, TargetRate: 50e6})
+	if st.Truncated {
+		t.Fatal("run hit the simulation safety cap: reader stranded with a packet in STORE")
+	}
+	if err := st.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
