@@ -153,9 +153,10 @@ func BenchmarkPktgenNext(b *testing.B) {
 }
 
 // BenchmarkSweepSerial vs BenchmarkSweepParallel document the speedup of
-// the parallel sweep engine. Both run the identical cell set (4 systems ×
-// 4 rates × 2 reps); the parallel variant uses one worker per CPU. The
-// output tables are byte-identical (see TestParallelSweepDeterminism).
+// the cell pipeline's worker pool. Both run the identical cell set (4
+// systems × 4 rates × 2 reps); the parallel variant uses one worker per
+// CPU. The output tables are byte-identical (see
+// TestSweepParallelMatchesSerial).
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
 	cfgs := Sniffers()

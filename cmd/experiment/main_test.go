@@ -482,6 +482,8 @@ func TestRunDistributedFlagConflicts(t *testing.T) {
 			"-worker cannot also serve"},
 		{"worker with json", []string{"-worker", "127.0.0.1:1", "-json"},
 			"-worker produces no output"},
+		{"worker with chaos", []string{"-worker", "127.0.0.1:1", "-chaos", "3"},
+			"cannot be distributed"},
 		{"workers without coordinator", []string{"-id", "fig6.2-smp", "-workers", "2"},
 			"-workers requires -coordinator"},
 		{"coordinator without journal", []string{"-coordinator", "127.0.0.1:0", "-id", "fig6.2-smp"},

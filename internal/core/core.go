@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -242,8 +241,8 @@ type Point struct {
 	// Truncated counts repetitions that hit the simulation safety cap.
 	Truncated int
 
-	// Chaos bookkeeping, filled by the resilient engine (resilient.go)
-	// when fault injection is active; all zero on clean runs.
+	// Chaos bookkeeping, filled when the sweep ran under a fault plan
+	// (engine.go, sweep.go); all zero on clean runs.
 	//
 	// Attempts is the total number of cycle attempts spent on this point
 	// (reps on a clean run; more when faults forced retries). Quarantined
@@ -267,21 +266,12 @@ type Series struct {
 	Points []Point
 }
 
-// SweepRates runs the full measurement cycle of §3.4 for each system over
-// the data rates (Mbit/s), repeating each point reps times with distinct
-// seeds and averaging — the thesis repeats each point seven times "to
-// avoid outliers". It is the serial entry point; SweepRatesParallel
-// (parallel.go) runs the same cells on a worker pool with byte-identical
-// output.
-func SweepRates(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int) []Series {
-	return SweepRatesParallel(context.Background(), cfgs, ratesMbit, w, reps, 0)
-}
-
-// aggregatePoint folds the per-repetition statistics of one cell column
-// into a plotted point. The runs arrive in repetition order, so the
-// floating-point accumulation is deterministic.
-func aggregatePoint(system string, runs []capture.Stats) Point {
-	pt := Point{System: system, RateMin: math.Inf(1), RateMax: math.Inf(-1)}
+// aggregatePoint folds the per-repetition statistics of one measurement
+// point at x into a plotted Point (capture rate, CPU, drop-cause ledger).
+// The runs arrive in repetition order, so the floating-point accumulation
+// is deterministic.
+func aggregatePoint(system string, x float64, runs []capture.Stats) Point {
+	pt := Point{System: system, X: x, RateMin: math.Inf(1), RateMax: math.Inf(-1)}
 	if len(runs) == 0 {
 		pt.RateMin, pt.RateMax = 0, 0
 		return pt
@@ -311,14 +301,6 @@ func aggregatePoint(system string, runs []capture.Stats) Point {
 	pt.Rate /= n
 	pt.Worst, pt.Avg, pt.Best = worstS/n, avgS/n, bestS/n
 	pt.CPU = cpuS / n
-	return pt
-}
-
-// AggregatePoint folds the per-repetition statistics of one measurement
-// point at x into a plotted Point (capture rate, CPU, drop-cause ledger).
-func AggregatePoint(system string, x float64, runs []capture.Stats) Point {
-	pt := aggregatePoint(system, runs)
-	pt.X = x
 	return pt
 }
 
@@ -411,4 +393,44 @@ func FormatWhy(series []Series) string {
 		}
 	}
 	return out.String()
+}
+
+// FormatChaos renders the supervisor's per-point bookkeeping — attempts,
+// quarantined and outlier-rejected repetitions, degradation, fault log —
+// as the `experiment -chaos` companion table of FormatTable.
+func FormatChaos(series []Series) string {
+	var out strings.Builder
+	out.WriteString("# chaos: attempts / quarantined / rejected repetitions per point\n")
+	out.WriteString("# x\tsystem\tattempts\tquar\trej\tdegraded\tfaults\n")
+	for _, s := range series {
+		for _, p := range s.Points {
+			deg := "-"
+			if p.Degraded {
+				deg = "DEGRADED"
+			}
+			fl := p.FaultLog
+			if fl == "" {
+				fl = "-"
+			}
+			fmt.Fprintf(&out, "%.0f\t%s\t%d\t%d\t%d\t%s\t%s\n",
+				p.X, s.System, p.Attempts, p.Quarantined, p.Rejected, deg, fl)
+		}
+	}
+	return out.String()
+}
+
+// ChaosTotals sums the supervisor bookkeeping over a set of series — the
+// one-line summary the CLI prints after a chaos run.
+func ChaosTotals(series []Series) (attempts, quarantined, rejected, degraded int) {
+	for _, s := range series {
+		for _, p := range s.Points {
+			attempts += p.Attempts
+			quarantined += p.Quarantined
+			rejected += p.Rejected
+			if p.Degraded {
+				degraded++
+			}
+		}
+	}
+	return
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -136,11 +137,10 @@ func TestDefaultOnsetRegion(t *testing.T) {
 	}
 }
 
-func TestSweepRatesTableAndDeterminism(t *testing.T) {
-	cfgs := []capture.Config{Swan()}
-	w := Workload{Packets: 3000, Seed: 9}
-	s1 := SweepRates(cfgs, []float64{100, 500}, w, 2)
-	s2 := SweepRates(cfgs, []float64{100, 500}, w, 2)
+func TestSweepTableAndDeterminism(t *testing.T) {
+	g := RateGrid([]capture.Config{Swan()}, []float64{100, 500}, Workload{Packets: 3000, Seed: 9}, 2)
+	s1, _ := Sweep(context.Background(), g, RunOptions{})
+	s2, _ := Sweep(context.Background(), g, RunOptions{})
 	if len(s1) != 1 || len(s1[0].Points) != 2 {
 		t.Fatalf("series shape: %+v", s1)
 	}

@@ -69,16 +69,19 @@ func (j *memJournal) subset() *memJournal {
 	return part
 }
 
-// TestRunCellsDurableReplay: once every cell is recorded, a re-run with
-// the same journal replays everything — no cell executes — and the
-// replayed results are identical to the originals (JSON round trip
-// included, via memJournal).
-func TestRunCellsDurableReplay(t *testing.T) {
-	w := Workload{Packets: 1500, Seed: 6}
-	cells, ids := sweepCells(Sniffers(), []float64{300, 700}, w, 2)
+// TestRunDurableReplay: once every cell is recorded, a re-run with the
+// same journal replays everything — no cell executes — and the replayed
+// results are identical to the originals (JSON round trip included, via
+// memJournal).
+func TestRunDurableReplay(t *testing.T) {
+	g := RateGrid(Sniffers(), []float64{300, 700}, Workload{Packets: 1500, Seed: 6}, 2)
+	cells, ids := g.Cells, g.IDs
 	j := newMemJournal()
 	ctx := context.Background()
-	first, errs := RunCellsDurable(ctx, cells, ids, 3, "rates", j)
+	durable := func(experiment string) RunOptions {
+		return RunOptions{Workers: 3, Experiment: experiment, Journal: j}
+	}
+	first, errs := Run(ctx, cells, ids, durable("rates"))
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
@@ -95,7 +98,7 @@ func TestRunCellsDurableReplay(t *testing.T) {
 			return src
 		}
 	}
-	second, errs2 := RunCellsDurable(ctx, cells, ids, 3, "rates", j)
+	second, errs2 := Run(ctx, cells, ids, durable("rates"))
 	for i, err := range errs2 {
 		if err != nil {
 			t.Fatalf("replayed cell %d: %v", i, err)
@@ -110,7 +113,7 @@ func TestRunCellsDurableReplay(t *testing.T) {
 	for i := range cells {
 		cells[i].Wrap = nil
 	}
-	third, _ := RunCellsDurable(ctx, cells, ids, 3, "buffers", j)
+	third, _ := Run(ctx, cells, ids, durable("buffers"))
 	if !reflect.DeepEqual(first, third) {
 		t.Fatal("same cells under another experiment id computed different stats")
 	}
@@ -127,11 +130,12 @@ func TestSweepDurableResumeByteIdentical(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 6}
 	rates := []float64{250, 750}
 	ctx := context.Background()
-	clean := SweepRatesParallel(ctx, cfgs, rates, w, 2, 2)
+	g := RateGrid(cfgs, rates, w, 2)
+	clean, _ := Sweep(ctx, g, RunOptions{Workers: 2})
 
 	full := newMemJournal()
-	SweepRatesDurable(ctx, cfgs, rates, w, 2, 2, "rates", full)
-	resumed := SweepRatesDurable(ctx, cfgs, rates, w, 2, 3, "rates", full.subset())
+	Sweep(ctx, g, RunOptions{Workers: 2, Experiment: "rates", Journal: full})
+	resumed, _ := Sweep(ctx, g, RunOptions{Workers: 3, Experiment: "rates", Journal: full.subset()})
 	if !reflect.DeepEqual(clean, resumed) {
 		t.Fatal("resumed sweep differs from uninterrupted sweep")
 	}
@@ -149,17 +153,13 @@ func TestChaosDurableResumeIdentical(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 3}
 	rates := []float64{300, 900}
 	ctx := context.Background()
-	co := ChaosOptions{Plan: faults.DefaultPlan(42)}
-	uninterrupted := SweepRatesResilient(ctx, cfgs, rates, w, 3, 2, co)
+	g := RateGrid(cfgs, rates, w, 3)
+	plan := faults.DefaultPlan(42)
+	uninterrupted, _ := Sweep(ctx, g, RunOptions{Workers: 2, Plan: plan})
 
 	full := newMemJournal()
-	coFull := co
-	coFull.Journal, coFull.Experiment = full, "rates"
-	SweepRatesResilient(ctx, cfgs, rates, w, 3, 2, coFull)
-
-	coPart := co
-	coPart.Journal, coPart.Experiment = full.subset(), "rates"
-	resumed := SweepRatesResilient(ctx, cfgs, rates, w, 3, 4, coPart)
+	Sweep(ctx, g, RunOptions{Workers: 2, Experiment: "rates", Journal: full, Plan: plan})
+	resumed, _ := Sweep(ctx, g, RunOptions{Workers: 4, Experiment: "rates", Journal: full.subset(), Plan: plan})
 	if !reflect.DeepEqual(uninterrupted, resumed) {
 		t.Fatal("resumed chaos sweep differs from uninterrupted one")
 	}
@@ -199,10 +199,10 @@ func waitGoroutines(t *testing.T, base int) {
 		runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 }
 
-// TestRunCellsCancelDrainsNoLeak: cancelling mid-sweep lets in-flight
-// cells finish, marks every undispatched cell with the context error, and
-// leaves no worker goroutine behind.
-func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
+// TestRunCancelDrainsNoLeak: cancelling mid-sweep lets in-flight cells
+// finish, marks every undispatched cell with the context error, and leaves
+// no worker goroutine behind.
+func TestRunCancelDrainsNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := Workload{Packets: 800, Seed: 3, TargetRate: 6e8}
 	started := make(chan struct{}, 16)
@@ -215,10 +215,10 @@ func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var errs []error
-	var stats []capture.Stats
+	var outs []CellOutcome
 	done := make(chan struct{})
 	go func() {
-		stats, errs = RunCellsErr(ctx, cells, 2)
+		outs, errs = Run(ctx, cells, nil, RunOptions{Workers: 2})
 		close(done)
 	}()
 	<-started
@@ -233,7 +233,7 @@ func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
 		switch {
 		case err == nil:
 			finished++
-			if !reflect.DeepEqual(stats[i], want) {
+			if !reflect.DeepEqual(outs[i].Stats, want) {
 				t.Fatalf("cell %d finished with wrong stats after cancel", i)
 			}
 		case IsCancel(err):
@@ -250,15 +250,16 @@ func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 
-	// RunCells must treat the cancellation as expected, not panic.
-	RunCells(ctx, cells[:1], 0)
+	// A sweep must treat the cancellation as expected, not panic.
+	Sweep(ctx, Grid{Systems: []string{"swan"}, X: []float64{600}, Cells: cells[:1]}, RunOptions{})
 }
 
-// TestRunCellsResilientCancelLeavesUnresolved: an interrupt mid-campaign
-// leaves unfinished cells neither accepted nor quarantined — so a resume
-// measures them from scratch — records nothing spurious in the journal,
-// and leaks no workers.
-func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
+// TestRunSupervisedCancelLeavesUnresolved: an interrupt mid-campaign
+// under a fault plan leaves unfinished cells neither accepted nor
+// quarantined — so a resume measures them from scratch — with the
+// context's error, records nothing spurious in the journal, and leaks no
+// workers.
+func TestRunSupervisedCancelLeavesUnresolved(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := Workload{Packets: 800, Seed: 3, TargetRate: 6e8}
 	started := make(chan struct{}, 16)
@@ -273,9 +274,11 @@ func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
 	j := newMemJournal()
 	ctx, cancel := context.WithCancel(context.Background())
 	var outs []CellOutcome
+	var errs []error
 	done := make(chan struct{})
 	go func() {
-		outs = RunCellsResilient(ctx, cells, ids, 2, ChaosOptions{Journal: j, Experiment: "rates"})
+		// The zero plan injects nothing but still supervises every cell.
+		outs, errs = Run(ctx, cells, ids, RunOptions{Workers: 2, Experiment: "rates", Journal: j, Plan: &faults.Plan{}})
 		close(done)
 	}()
 	<-started
@@ -293,6 +296,9 @@ func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
 			t.Fatalf("cell %d quarantined by an interrupt, not by its retry budget", i)
 		default:
 			unresolved++
+			if !IsCancel(errs[i]) {
+				t.Fatalf("unresolved cell %d carries %v, want the context error", i, errs[i])
+			}
 		}
 	}
 	if resolved < 2 || unresolved == 0 {

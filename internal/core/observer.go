@@ -1,8 +1,8 @@
-// Observer hook: the measurement engines' live event feed. Every engine
-// entry point accepts an optional Observer; when one is attached, the
-// engine publishes typed events as the campaign unfolds — per-cell
-// completions (with the cell's full statistics), deterministic per-point
-// aggregates, and the resilient path's retry/quarantine decisions. The
+// Observer hook: the cell pipeline's live event feed. RunOptions carries
+// an optional Observer; when one is attached, the pipeline publishes
+// typed events as the campaign unfolds — per-cell completions (with the
+// cell's full statistics), deterministic per-point aggregates, and the
+// fault supervision's retry/quarantine decisions. The
 // monitoring service (internal/monitor) fans these events out to HTTP
 // subscribers; the `experiment -json` writer streams its NDJSON records
 // from the same feed.
@@ -10,7 +10,7 @@
 // The contract is strictly one-way and non-blocking: an Observer must
 // never block (the monitor hub drops to bounded per-subscriber rings) and
 // must not retain the Stats/Point/Outcome pointers beyond the call unless
-// it copies them — the engines hand out private copies, so retaining is
+// it copies them — the pipeline hands out private copies, so retaining is
 // in fact safe, but mutating is not. Observation never changes a result:
 // a sweep with an observer attached is byte-identical to one without.
 package core
@@ -26,7 +26,7 @@ type EventKind int
 
 const (
 	// EventCampaignStart / EventCampaignFinish bracket one driver
-	// invocation (emitted by the CLI layer, not the engines).
+	// invocation (emitted by the CLI layer, not the pipeline).
 	EventCampaignStart EventKind = iota
 	EventCampaignFinish
 	// EventExperimentStart / EventExperimentFinish bracket one experiment
@@ -34,7 +34,7 @@ const (
 	EventExperimentStart
 	EventExperimentFinish
 	// EventCell: one measurement cell reached its final, accepted outcome
-	// (Stats set; Outcome set on the resilient path; Replayed when the
+	// (Stats set; Outcome set under a fault plan; Replayed when the
 	// cell was served from the campaign journal instead of running).
 	EventCell
 	// EventPoint: one plotted point — a (system, x) aggregate over its
@@ -49,7 +49,7 @@ const (
 	// run — its final outcome (Outcome set, Quarantined) is as recorded.
 	EventQuarantine
 	// EventSnifferDead: the fault model declared a sniffer dead for an
-	// attempt (resilient engine), or the testbed supervisor struck a
+	// attempt (cell pipeline), or the testbed supervisor struck a
 	// persistently silent sniffer from the expected set.
 	EventSnifferDead
 	// EventCheckpoint: the campaign journal durably recorded a cell.
@@ -111,7 +111,7 @@ type Event struct {
 	Seq uint64
 	// Kind classifies the event.
 	Kind EventKind
-	// Campaign identifies the driver invocation. The engines leave it
+	// Campaign identifies the driver invocation. The pipeline leaves it
 	// empty; the CLI layer and the monitor registry attribute engine
 	// events to the running campaign.
 	Campaign string
@@ -146,7 +146,7 @@ type Event struct {
 	Stats *capture.Stats
 	// Agg is the completed point aggregate (EventPoint). A private copy.
 	Agg *Point
-	// Outcome is the resilient engine's supervised outcome of the cell
+	// Outcome is the supervised outcome of the cell
 	// (EventCell/EventQuarantine under a fault plan). A private copy.
 	Outcome *CellOutcome
 }
@@ -165,7 +165,7 @@ type ObserverFunc func(Event)
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
 // MultiObserver fans one event out to several observers in order, nils
-// skipped. It returns nil when every observer is nil, so the engines'
+// skipped. It returns nil when every observer is nil, so the pipeline'
 // "no observer attached" fast path stays intact.
 func MultiObserver(obs ...Observer) Observer {
 	live := make([]Observer, 0, len(obs))

@@ -17,10 +17,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	cfgs := Sniffers()
 	w := Workload{Packets: 2500, Seed: 5}
 	rates := []float64{150, 450, 900}
-	serial := SweepRatesParallel(context.Background(), cfgs, rates, w, 2, 0)
+	g := RateGrid(cfgs, rates, w, 2)
+	serial, _ := Sweep(context.Background(), g, RunOptions{})
 	serialTbl := FormatTable("t", serial)
 	for _, workers := range []int{1, 3, 8, -1} {
-		par := SweepRatesParallel(context.Background(), cfgs, rates, w, 2, workers)
+		par, _ := Sweep(context.Background(), g, RunOptions{Workers: workers})
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("workers=%d: series differ from serial", workers)
 		}
@@ -30,31 +31,39 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepSerialDelegationUnchanged: the SweepRates facade and the engine
-// agree (SweepRates is the workers=0 case).
+// TestSweepSerialDelegationUnchanged: a sweep is Run plus aggregation —
+// the serial sweep's cell outcomes are exactly what Run computes for the
+// grid's cells on a worker pool.
 func TestSweepSerialDelegationUnchanged(t *testing.T) {
-	cfgs := []capture.Config{Swan()}
-	w := Workload{Packets: 2000, Seed: 9}
-	a := SweepRates(cfgs, []float64{300, 800}, w, 2)
-	b := SweepRatesParallel(context.Background(), cfgs, []float64{300, 800}, w, 2, 4)
+	g := RateGrid([]capture.Config{Swan()}, []float64{300, 800}, Workload{Packets: 2000, Seed: 9}, 2)
+	_, a := Sweep(context.Background(), g, RunOptions{})
+	b, errs := Run(context.Background(), g.Cells, g.IDs, RunOptions{Workers: 4})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("SweepRates differs from the parallel engine")
+		t.Fatal("Sweep's outcomes differ from Run's")
 	}
 }
 
-func TestRunCellsOrderAndFeedSharing(t *testing.T) {
+func TestRunOrderAndFeedSharing(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 4, TargetRate: 6e8}
 	var cells []Cell
 	for _, cfg := range Sniffers() {
 		cells = append(cells, Cell{Cfg: cfg, W: w})
 	}
-	stats := RunCells(context.Background(), cells, 4)
-	if len(stats) != len(cells) {
-		t.Fatalf("got %d results for %d cells", len(stats), len(cells))
+	outs, _ := Run(context.Background(), cells, nil, RunOptions{Workers: 4})
+	if len(outs) != len(cells) {
+		t.Fatalf("got %d results for %d cells", len(outs), len(cells))
 	}
-	for i, st := range stats {
+	for i, out := range outs {
+		if !out.OK || out.Attempts != 1 || out.Quarantined || out.Degraded || out.Log != nil {
+			t.Errorf("cell %d: plain outcome is not {Stats, OK, Attempts: 1}: %+v", i, out)
+		}
 		want := RunOnce(cells[i].Cfg, cells[i].W)
-		if !reflect.DeepEqual(st, want) {
+		if !reflect.DeepEqual(out.Stats, want) {
 			t.Errorf("cell %d (%s): parallel result differs from direct run", i, cells[i].Cfg.Name)
 		}
 	}
@@ -77,12 +86,12 @@ func (s *panicSource) Next() (p pktgen.Packet, ok bool) {
 	return s.src.Next()
 }
 
-// TestRunCellsWorkerPanicRecovered is the regression test for the worker
+// TestRunWorkerPanicRecovered is the regression test for the worker
 // panic: one panicking cell must not kill the process or leave sibling
 // goroutines blocked on the job channel — every other cell completes and
 // the failed cell comes back as a *CellPanicError the supervisor can
 // retry.
-func TestRunCellsWorkerPanicRecovered(t *testing.T) {
+func TestRunWorkerPanicRecovered(t *testing.T) {
 	w := Workload{Packets: 1200, Seed: 4, TargetRate: 6e8}
 	var cells []Cell
 	for _, cfg := range Sniffers() {
@@ -93,14 +102,14 @@ func TestRunCellsWorkerPanicRecovered(t *testing.T) {
 		return &panicSource{src: src, after: 5}
 	}
 	// More cells than workers so a dying worker would strand queued jobs.
-	stats, errs := RunCellsErr(context.Background(), cells, 2)
+	outs, errs := Run(context.Background(), cells, nil, RunOptions{Workers: 2})
 	for i := range cells {
 		if i == bad {
 			var pe *CellPanicError
 			if !errors.As(errs[i], &pe) {
 				t.Fatalf("cell %d: want CellPanicError, got %v", i, errs[i])
 			}
-			if pe.System != cells[bad].Cfg.Name || pe.Value != "injected cell panic" {
+			if pe.Index != bad || pe.System != cells[bad].Cfg.Name || pe.Value != "injected cell panic" {
 				t.Fatalf("panic error = %+v", pe)
 			}
 			continue
@@ -109,35 +118,39 @@ func TestRunCellsWorkerPanicRecovered(t *testing.T) {
 			t.Fatalf("healthy cell %d failed: %v", i, errs[i])
 		}
 		want := RunOnce(cells[i].Cfg, cells[i].W)
-		if !reflect.DeepEqual(stats[i], want) {
+		if !reflect.DeepEqual(outs[i].Stats, want) {
 			t.Errorf("cell %d: result differs after sibling panic", i)
 		}
 	}
 
-	// The legacy RunCells contract: the panic still surfaces (as a typed
-	// error value), but only after the pool has drained.
+	// The sweep contract: the panic still surfaces (as a typed error
+	// value), but only after the pool has drained.
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("RunCells swallowed the cell panic")
+			t.Fatal("Sweep swallowed the cell panic")
 		}
 		if _, ok := r.(*CellPanicError); !ok {
-			t.Fatalf("RunCells re-raised %T, want *CellPanicError", r)
+			t.Fatalf("Sweep re-raised %T, want *CellPanicError", r)
 		}
 	}()
-	RunCells(context.Background(), cells, 2)
+	g := Grid{X: []float64{600}, Cells: cells}
+	for _, c := range cells {
+		g.Systems = append(g.Systems, c.Cfg.Name)
+	}
+	Sweep(context.Background(), g, RunOptions{Workers: 2})
 }
 
 func TestAggregateDefensive(t *testing.T) {
 	// reps == 0 must not divide by zero or leave the ±Inf sentinels behind.
-	pt := aggregatePoint("x", nil)
+	pt := aggregatePoint("x", 0, nil)
 	if pt.RateMin != 0 || pt.RateMax != 0 || pt.Rate != 0 {
 		t.Fatalf("empty aggregation not zeroed: %+v", pt)
 	}
 	// A 100%-capture run must be representable (the old sentinel was an
 	// arbitrary 200 that only worked because rates are percentages).
 	st := RunOnce(Moorhen(), Workload{Packets: 2000, Seed: 1, TargetRate: 1e8})
-	agg := aggregatePoint("moorhen", []capture.Stats{st})
+	agg := aggregatePoint("moorhen", 100, []capture.Stats{st})
 	if agg.RateMin != agg.RateMax || agg.RateMin != st.CaptureRate() {
 		t.Fatalf("single-run aggregation: %+v vs rate %.2f", agg, st.CaptureRate())
 	}

@@ -10,26 +10,30 @@ import (
 	"repro/internal/faults"
 )
 
-// TestChaosNilPlanMatchesParallel: with no fault plan the resilient sweep
-// must be numerically identical to the parallel engine — the chaos
-// counters then only record one clean attempt per repetition.
+// TestChaosNilPlanMatchesParallel: without a plan a sweep is the plain
+// path — its points carry no chaos bookkeeping at all, so the NDJSON
+// records keep their clean shape. A plan that injects nothing supervises
+// every cell yet stays numerically identical to the plain path, its
+// counters recording only one clean attempt per repetition.
 func TestChaosNilPlanMatchesParallel(t *testing.T) {
-	cfgs := Sniffers()
 	w := Workload{Packets: 2000, Seed: 5}
-	rates := []float64{200, 800}
 	reps := 2
-	clean := SweepRatesParallel(context.Background(), cfgs, rates, w, reps, 2)
-	chaos := SweepRatesResilient(context.Background(), cfgs, rates, w, reps, 2, ChaosOptions{})
+	g := RateGrid(Sniffers(), []float64{200, 800}, w, reps)
+	clean, _ := Sweep(context.Background(), g, RunOptions{Workers: 2})
+	chaos, _ := Sweep(context.Background(), g, RunOptions{Workers: 2, Plan: &faults.Plan{}})
 	for si := range chaos {
 		for pi := range chaos[si].Points {
-			p := chaos[si].Points[pi]
+			p, c := chaos[si].Points[pi], clean[si].Points[pi]
+			if c.Attempts != 0 || c.Quarantined != 0 || c.Rejected != 0 || c.Degraded || c.FaultLog != "" {
+				t.Fatalf("%s x=%g: plain point carries chaos bookkeeping: %+v", chaos[si].System, c.X, c)
+			}
 			if p.Attempts != reps || p.Quarantined != 0 || p.Rejected != 0 || p.Degraded || p.FaultLog != "" {
-				t.Fatalf("%s x=%g: nil-plan chaos counters dirty: %+v", chaos[si].System, p.X, p)
+				t.Fatalf("%s x=%g: fault-free plan counters dirty: %+v", chaos[si].System, p.X, p)
 			}
 			p.Attempts = 0
-			if !reflect.DeepEqual(p, clean[si].Points[pi]) {
-				t.Fatalf("%s x=%g: nil-plan point differs from parallel engine:\n%+v\nvs\n%+v",
-					chaos[si].System, p.X, p, clean[si].Points[pi])
+			if !reflect.DeepEqual(p, c) {
+				t.Fatalf("%s x=%g: fault-free point differs from the plain path:\n%+v\nvs\n%+v",
+					chaos[si].System, p.X, p, c)
 			}
 		}
 	}
@@ -41,10 +45,11 @@ func TestChaosDeterministic(t *testing.T) {
 	cfgs := Sniffers()
 	w := Workload{Packets: 1500, Seed: 3}
 	rates := []float64{300, 900}
-	co := ChaosOptions{Plan: faults.DefaultPlan(42)}
-	a := SweepRatesResilient(context.Background(), cfgs, rates, w, 3, 0, co)
-	b := SweepRatesResilient(context.Background(), cfgs, rates, w, 3, 4, co)
-	c := SweepRatesResilient(context.Background(), cfgs, rates, w, 3, 4, co)
+	g := RateGrid(cfgs, rates, w, 3)
+	plan := faults.DefaultPlan(42)
+	a, _ := Sweep(context.Background(), g, RunOptions{Plan: plan})
+	b, _ := Sweep(context.Background(), g, RunOptions{Workers: 4, Plan: plan})
+	c, _ := Sweep(context.Background(), g, RunOptions{Workers: 4, Plan: plan})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("chaos sweep differs between serial and 4 workers")
 	}
@@ -65,9 +70,9 @@ func TestChaosConvergesToCleanRates(t *testing.T) {
 	rates := []float64{200, 600, 1000}
 	reps := 4
 	plan := faults.DefaultPlan(11)
-	co := ChaosOptions{Plan: plan}
-	clean := SweepRatesParallel(context.Background(), cfgs, rates, w, reps, 4)
-	chaos := SweepRatesResilient(context.Background(), cfgs, rates, w, reps, 4, co)
+	g := RateGrid(cfgs, rates, w, reps)
+	clean, _ := Sweep(context.Background(), g, RunOptions{Workers: 4})
+	chaos, _ := Sweep(context.Background(), g, RunOptions{Workers: 4, Plan: plan})
 
 	quarantined := 0
 	for si := range chaos {
@@ -106,7 +111,8 @@ func TestChaosConvergesToCleanRates(t *testing.T) {
 
 // TestFaultRetryRecoversPanic: a cell whose run panics on the first
 // attempt is retried by the supervisor and accepted on the second — the
-// panic is contained as a failed attempt, not a crashed process.
+// panic is contained as a failed attempt, not a crashed process. The zero
+// plan injects nothing, so the panic is the only fault.
 func TestFaultRetryRecoversPanic(t *testing.T) {
 	w := Workload{Packets: 1200, Seed: 4, TargetRate: 6e8}
 	tries := 0
@@ -117,16 +123,19 @@ func TestFaultRetryRecoversPanic(t *testing.T) {
 		}
 		return src
 	}}}
-	outs := RunCellsResilient(context.Background(), cells, []CellID{{Point: 1, Rep: 0}}, 0, ChaosOptions{})
+	outs, errs := Run(context.Background(), cells, []CellID{{Point: 1, Rep: 0}}, RunOptions{Plan: &faults.Plan{}})
 	o := outs[0]
+	if errs[0] != nil {
+		t.Fatalf("recovered cell carries an error: %v", errs[0])
+	}
 	if !o.OK || o.Quarantined {
 		t.Fatalf("panicking cell not recovered: %+v", o)
 	}
 	if o.Attempts != 2 {
 		t.Fatalf("want 2 attempts (panic, then clean), got %d", o.Attempts)
 	}
-	if o.BackoffNS <= 0 {
-		t.Fatal("retry did not pay the simulated backoff")
+	if o.BackoffNS != BackoffNS {
+		t.Fatalf("one retry paid %g ns of simulated backoff, want %g", o.BackoffNS, float64(BackoffNS))
 	}
 	if len(o.Log) == 0 || !strings.Contains(o.Log[0], "panicked") {
 		t.Fatalf("panic not logged: %q", o.Log)
@@ -142,16 +151,18 @@ func TestFaultRetryRecoversPanic(t *testing.T) {
 // the point marked Degraded instead of deadlocking or aborting.
 func TestChaosQuarantineAfterBudget(t *testing.T) {
 	plan := &faults.Plan{Seed: 1, PHang: 1}
-	co := ChaosOptions{Plan: plan, RetryBudget: 2}
 	w := Workload{Packets: 1000, Seed: 2}
-	outs := RunCellsResilient(
-		context.Background(), []Cell{{Cfg: Swan(), W: w}}, []CellID{{Point: 9, Rep: 0}}, 0, co)
+	outs, errs := Run(
+		context.Background(), []Cell{{Cfg: Swan(), W: w}}, []CellID{{Point: 9, Rep: 0}}, RunOptions{Plan: plan})
 	o := outs[0]
-	if o.OK || !o.Quarantined {
-		t.Fatalf("always-hanging cell not quarantined: %+v", o)
+	if o.OK || !o.Quarantined || errs[0] != nil {
+		t.Fatalf("always-hanging cell not quarantined: %+v (err %v)", o, errs[0])
 	}
-	if o.Attempts != 3 {
-		t.Fatalf("want budget+1 = 3 attempts, got %d", o.Attempts)
+	if o.Attempts != RetryBudget+1 {
+		t.Fatalf("want budget+1 = %d attempts, got %d", RetryBudget+1, o.Attempts)
+	}
+	if want := BackoffNS * float64(int(1)<<RetryBudget-1); o.BackoffNS != want {
+		t.Fatalf("backoff %g ns over the budget, want %g (doubling per retry)", o.BackoffNS, want)
 	}
 	if o.Stats.Generated != 0 {
 		t.Fatalf("hung sniffer returned statistics: %+v", o.Stats)
@@ -159,12 +170,11 @@ func TestChaosQuarantineAfterBudget(t *testing.T) {
 
 	// The dead-sniffer case at sweep level: the other three systems keep
 	// measuring, the hung one's points are Degraded with zero rate.
-	series := SweepRatesResilient(
-		context.Background(), []capture.Config{Swan(), Moorhen()}, []float64{400}, w, 2, 2,
-		ChaosOptions{Plan: &faults.Plan{Seed: 1, PHang: 1}, RetryBudget: 1})
+	series, _ := Sweep(context.Background(), RateGrid([]capture.Config{Swan(), Moorhen()}, []float64{400}, w, 2),
+		RunOptions{Workers: 2, Plan: plan})
 	for _, s := range series {
 		p := s.Points[0]
-		if !p.Degraded || p.Quarantined != 2 || p.Rate != 0 {
+		if !p.Degraded || p.Quarantined != 2 || p.Rate != 0 || p.Attempts != 2*(RetryBudget+1) {
 			t.Fatalf("%s: all-hang point = %+v", s.System, p)
 		}
 	}
@@ -177,9 +187,8 @@ func TestChaosQuarantineAfterBudget(t *testing.T) {
 func TestChaosDegradedLegBooksFaultLoss(t *testing.T) {
 	plan := &faults.Plan{Seed: 6, PLegLoss: 1, LegLossRatio: 0.05}
 	w := Workload{Packets: 2000, Seed: 8, TargetRate: 4e8}
-	outs := RunCellsResilient(
-		context.Background(), []Cell{{Cfg: Moorhen(), W: w}}, []CellID{{Point: 4, Rep: 1}}, 0,
-		ChaosOptions{Plan: plan})
+	outs, _ := Run(
+		context.Background(), []Cell{{Cfg: Moorhen(), W: w}}, []CellID{{Point: 4, Rep: 1}}, RunOptions{Plan: plan})
 	o := outs[0]
 	if !o.OK || !o.Degraded {
 		t.Fatalf("lossy-leg cell not accepted as degraded: %+v", o)

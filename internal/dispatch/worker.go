@@ -382,6 +382,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 		return err
 	}
 	var cells []core.Cell
+	var ids []core.CellID
 	var okIdx []int
 	var failed []core.CellKey
 	for _, k := range l.Keys {
@@ -393,6 +394,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 			continue
 		}
 		cells = append(cells, set.Cells[i])
+		ids = append(ids, set.IDs[i])
 		okIdx = append(okIdx, i)
 	}
 	var recs []Record
@@ -402,7 +404,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 			feeds = core.NewFeedCache(core.DefaultFeedCacheSize)
 			w.feeds[l.Experiment] = feeds
 		}
-		sts, errs := core.RunCellsWithCache(ctx, cells, w.Options.Parallelism, feeds)
+		outs, errs := core.Run(ctx, cells, ids, core.RunOptions{Workers: w.Options.Parallelism, Feeds: feeds})
 		for bi, i := range okIdx {
 			k := core.CellKey{Experiment: l.Experiment, Point: set.IDs[i].Point,
 				System: set.Cells[i].Cfg.Name, Rep: set.IDs[i].Rep}
@@ -410,9 +412,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 				failed = append(failed, k)
 				continue
 			}
-			recs = append(recs, Record{Key: k, Out: core.CellOutcome{
-				Stats: sts[bi], OK: true, Attempts: 1,
-			}})
+			recs = append(recs, Record{Key: k, Out: outs[bi]})
 		}
 	}
 	if err := ctx.Err(); err != nil {

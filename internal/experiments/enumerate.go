@@ -3,8 +3,8 @@
 // their durable CellKey only — a capture.Config carries closures (BPF
 // filters, fault wraps) and is deliberately not wire-safe — so both
 // sides re-derive the key → cell mapping locally. The derivation is the
-// experiment code itself: the engines are run with a capturing executor
-// that records the cells they would have dispatched and returns without
+// experiment code itself: it runs with a capturing executor that records
+// the cells the pipeline would have dispatched and returns without
 // running any. Cell layout is a pure function of the semantic Options
 // fields, which is exactly what the campaign fingerprint hashes, so a
 // fingerprint match guarantees the coordinator and every worker
@@ -20,7 +20,7 @@ import (
 )
 
 // CellSet is the enumerated cell space of one experiment: the exact
-// cells and ids the durable engines would run, in engine layout order,
+// cells and ids the pipeline would run, in grid layout order,
 // with a durable-key index for lease resolution.
 type CellSet struct {
 	Experiment string
@@ -40,7 +40,7 @@ func (s *CellSet) Len() int { return len(s.Cells) }
 
 // EnumerateCells computes the cell space of experiment id under o
 // without running a single measurement. Experiments that bypass the cell
-// engines (distribution plots, RunOnce-based extensions) yield an empty
+// pipeline (distribution plots, RunOnce-based extensions) yield an empty
 // set — they always run locally and are never leased. Chaos campaigns
 // cannot be enumerated: their fault hooks are process-local closures.
 func EnumerateCells(id string, o Options) (*CellSet, error) {
@@ -66,7 +66,7 @@ func EnumerateCells(id string, o Options) (*CellSet, error) {
 	return cap.set, nil
 }
 
-// capturingExecutor records the cells the engines hand it and completes
+// capturingExecutor records the cells the pipeline hands it and completes
 // none of them: the engine's aggregation sees zero statistics (its
 // rendered output is discarded) and its journal hook never fires.
 type capturingExecutor struct{ set *CellSet }

@@ -37,7 +37,7 @@ type Options struct {
 	// the rendered table — the `experiment -why` flag.
 	Why bool
 	// Chaos, when nonzero, runs the sweeps under the seeded fault-injection
-	// plan (faults.DefaultPlan) with the resilient supervisor: validation,
+	// plan (faults.DefaultPlan), supervised by the cell pipeline: validation,
 	// bounded retry, quarantine, outlier rejection, graceful degradation.
 	// The chaos bookkeeping is appended to tables (core.FormatChaos) and
 	// carried in the NDJSON records. Zero keeps the legacy byte-identical
@@ -68,20 +68,19 @@ type Options struct {
 	// on a resumed run (see Campaign). A runtime knob, not part of the
 	// campaign fingerprint.
 	Journal core.CellJournal
-	// Observer, when non-nil, receives the engines' live event feed (cell
+	// Observer, when non-nil, receives the pipeline's live event feed (cell
 	// completions, deterministic point aggregates, retry/quarantine
 	// decisions) — the monitoring service and the streaming -json writer
 	// attach here. A runtime knob, not part of the campaign fingerprint;
 	// observation never changes a result.
 	Observer core.Observer
-	// Executor, when non-nil, hands the cells the durable engines would
-	// run locally to an external executor instead — the dispatch
-	// coordinator leases them to remote workers. Replayed cells never
-	// reach the executor, and the executor's results feed the same
-	// journaling, observation, and fixed-order aggregation, so output
-	// stays byte-identical to a local run. A runtime knob, not part of
-	// the campaign fingerprint. Ignored under -chaos: fault injection
-	// works through process-local hooks that cannot be dispatched.
+	// Executor, when non-nil, hands the cells the pipeline would run
+	// locally to an external executor instead — the dispatch coordinator
+	// leases them to remote workers. Replayed cells never reach the
+	// executor, and the executor's results feed the same journaling,
+	// observation, and fixed-order aggregation, so output stays
+	// byte-identical to a local run. A runtime knob, not part of the
+	// campaign fingerprint.
 	Executor core.CellExecutor
 }
 
@@ -93,15 +92,16 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// chaosOptions builds the resilient engine's options from the -chaos seed,
-// wiring in the campaign journal under the given experiment id.
-func (o Options) chaosOptions(experiment string) core.ChaosOptions {
-	return core.ChaosOptions{
-		Plan:       faults.DefaultPlan(o.Chaos),
-		Journal:    o.Journal,
-		Experiment: experiment,
-		Observer:   o.Observer,
+// runOptions maps the options onto the cell pipeline's: experiment
+// namespaces the journal keys and events, and a -chaos seed becomes the
+// fault plan.
+func (o Options) runOptions(experiment string) core.RunOptions {
+	ro := core.RunOptions{Workers: o.Parallelism, Experiment: experiment,
+		Journal: o.Journal, Observer: o.Observer, Executor: o.Executor}
+	if o.Chaos != 0 {
+		ro.Plan = faults.DefaultPlan(o.Chaos)
 	}
+	return ro
 }
 
 // applyPolicy stamps the -policy override onto sweep configs. An empty or
@@ -277,117 +277,38 @@ func sysCfgs(mods ...modifier) func() []capture.Config {
 	return func() []capture.Config { return systems(mods...) }
 }
 
-// seriesSweep runs the standard §3.4 data-rate sweep over the configs —
-// through the resilient supervisor when -chaos is set, the durable
-// parallel engine otherwise (with a nil journal the legacy path stays
-// byte-identical). experiment namespaces the campaign journal keys.
+// seriesSweep runs the standard §3.4 data-rate sweep over the configs.
+// experiment namespaces the campaign journal keys.
 func seriesSweep(experiment string, cfgs func() []capture.Config) func(o Options) []core.Series {
 	return func(o Options) []core.Series {
 		o = o.withDefaults()
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed}
-		sweepCfgs := o.applyPolicy(cfgs())
-		if o.Chaos != 0 {
-			return core.SweepRatesResilient(o.ctx(), sweepCfgs, o.Rates, w, o.Reps, o.Parallelism, o.chaosOptions(experiment))
-		}
-		return core.SweepRatesDispatched(o.ctx(), sweepCfgs, o.Rates, w, o.Reps, o.Parallelism, experiment, o.Journal, o.Observer, o.Executor)
+		g := core.RateGrid(o.applyPolicy(cfgs()), o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, o.Reps)
+		series, _ := core.Sweep(o.ctx(), g, o.runOptions(experiment))
+		return series
 	}
 }
 
-// tableRun renders a sweep the way the thesis plots it, appending the
-// per-point drop-cause table when -why is set and the chaos bookkeeping
-// when -chaos is set.
+// companions renders the tables -why and -chaos append to a sweep's
+// table: the per-point drop causes and the chaos bookkeeping.
+func companions(o Options, s []core.Series) string {
+	var out string
+	if o.Why {
+		out += "\n" + core.FormatWhy(s)
+	}
+	if o.Chaos != 0 {
+		out += "\n" + core.FormatChaos(s)
+	}
+	return out
+}
+
+// tableRun renders a sweep the way the thesis plots it, followed by its
+// companion tables.
 func tableRun(title string, series func(o Options) []core.Series) func(o Options) string {
 	return func(o Options) string {
 		o = o.withDefaults()
 		s := series(o)
-		out := core.FormatTable(title, s)
-		if o.Why {
-			out += "\n" + core.FormatWhy(s)
-		}
-		if o.Chaos != 0 {
-			out += "\n" + core.FormatChaos(s)
-		}
-		return out
+		return core.FormatTable(title, s) + companions(o, s)
 	}
-}
-
-// observeCellPoints wraps obs so a per-cell sweep (buffer sweep,
-// multi-app: one cell per plotted point) publishes one EventPoint per
-// finalized cell, decorated exactly like cellSeries decorates the series
-// form. Emission is head-of-line sequenced in cell layout order, so the
-// point stream is deterministic for any worker count.
-func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, ids []core.CellID, xOf func(i int) float64) core.Observer {
-	if obs == nil {
-		return nil
-	}
-	idxOf := make(map[core.CellKey]int, len(cells))
-	for i := range cells {
-		idxOf[core.CellKey{Experiment: experiment, Point: ids[i].Point,
-			System: cells[i].Cfg.Name, Rep: ids[i].Rep}] = i
-	}
-	var mu sync.Mutex
-	pending := make([]*core.Event, len(cells))
-	next := 0
-	return core.ObserverFunc(func(ev core.Event) {
-		obs.Observe(ev)
-		if (ev.Kind != core.EventCell && ev.Kind != core.EventQuarantine) || ev.Stats == nil {
-			return
-		}
-		i, ok := idxOf[core.CellKey{Experiment: ev.Experiment, Point: ev.Point,
-			System: ev.System, Rep: ev.Rep}]
-		if !ok {
-			return
-		}
-		pt := core.AggregatePoint(ev.System, xOf(i), []capture.Stats{*ev.Stats})
-		if out := ev.Outcome; out != nil {
-			pt.Attempts = out.Attempts
-			if out.Quarantined {
-				pt.Quarantined = 1
-			}
-			pt.Degraded = out.Degraded || out.Quarantined
-			pt.FaultLog = strings.Join(out.Log, "; ")
-		}
-		pe := core.Event{Kind: core.EventPoint, Experiment: ev.Experiment,
-			System: ev.System, Point: ev.Point, X: pt.X, Agg: &pt}
-		mu.Lock()
-		defer mu.Unlock()
-		pending[i] = &pe
-		for next < len(pending) && pending[next] != nil {
-			obs.Observe(*pending[next])
-			next++
-		}
-	})
-}
-
-// runCellsMaybeChaos executes per-cell sweeps (buffer sweep, multi-app)
-// through the resilient engine when -chaos is set, and through the durable
-// engine otherwise. key fingerprints the measurement point of cell i for
-// the fault model and the campaign journal; xOf is the plotted x of cell i
-// (for the observer's point events); experiment namespaces the journal
-// keys. The returned outcomes are nil on the plain path.
-func runCellsMaybeChaos(o Options, experiment string, cells []core.Cell, key func(i int) uint64, xOf func(i int) float64) ([]capture.Stats, []core.CellOutcome) {
-	ids := make([]core.CellID, len(cells))
-	for i := range cells {
-		ids[i] = core.CellID{Point: key(i), Rep: 0}
-	}
-	obs := observeCellPoints(o.Observer, experiment, cells, ids, xOf)
-	if o.Chaos == 0 {
-		sts, errs := core.RunCellsDispatched(o.ctx(), cells, ids, o.Parallelism, experiment, o.Journal, obs, o.Executor)
-		for _, err := range errs {
-			if err != nil && !core.IsCancel(err) {
-				panic(err)
-			}
-		}
-		return sts, nil
-	}
-	co := o.chaosOptions(experiment)
-	co.Observer = obs
-	outs := core.RunCellsResilient(o.ctx(), cells, ids, o.Parallelism, co)
-	sts := make([]capture.Stats, len(cells))
-	for i := range outs {
-		sts[i] = outs[i].Stats
-	}
-	return sts, outs
 }
 
 // sweepExpt builds a data-rate-sweep experiment with both the rendered
@@ -398,34 +319,48 @@ func sweepExpt(id, paper, title, tableTitle string, cfgs func() []capture.Config
 		Run: tableRun(tableTitle, series), Series: series}
 }
 
-// cellSeries groups per-cell runs (laid out x-major, system-minor) into
-// one Series per system, with the given per-cell x value. outs, when
-// non-nil, carries the resilient engine's per-cell bookkeeping onto the
-// points.
-func cellSeries(cells []core.Cell, sts []capture.Stats, outs []core.CellOutcome, x func(i int) float64) []core.Series {
-	var series []core.Series
-	idx := map[string]int{}
-	for i, st := range sts {
-		name := cells[i].Cfg.Name
-		j, ok := idx[name]
-		if !ok {
-			j = len(series)
-			idx[name] = j
-			series = append(series, core.Series{System: name})
-		}
-		pt := core.AggregatePoint(name, x(i), []capture.Stats{st})
-		if outs != nil {
-			out := outs[i]
-			pt.Attempts = out.Attempts
-			if out.Quarantined {
-				pt.Quarantined = 1
-			}
-			pt.Degraded = out.Degraded || out.Quarantined
-			pt.FaultLog = strings.Join(out.Log, "; ")
-		}
-		series[j].Points = append(series[j].Points, pt)
+// cellGrid lays out a per-cell sweep — one cell per plotted point, x-major
+// over the base systems — as a pipeline grid: cell builds the cell of one
+// base at x, and key fingerprints x for the journal and the fault model.
+func cellGrid(xs []float64, bases []capture.Config, key func(x float64) uint64, cell func(x float64, base capture.Config) core.Cell) core.Grid {
+	g := core.Grid{X: xs, Reps: 1, Partial: true}
+	for _, base := range bases {
+		g.Systems = append(g.Systems, base.Name)
 	}
-	return series
+	for _, x := range xs {
+		for _, base := range bases {
+			g.Cells = append(g.Cells, cell(x, base))
+			g.IDs = append(g.IDs, core.CellID{Point: key(x)})
+		}
+	}
+	return g
+}
+
+// rateKey is the point fingerprint of a per-cell sweep over data rates.
+func rateKey(x float64) uint64 { return uint64(x * 1e3) }
+
+// cellExpt builds a per-cell sweep experiment: grid lays out its cells,
+// and the table is header followed by one row per cell, rendered from the
+// cell's own statistics, then the companion tables of its series.
+func cellExpt(id, paper, title string, grid func(o Options) core.Grid, header func(o Options) string,
+	row func(x float64, c core.Cell, st *capture.Stats) string) Experiment {
+	series := func(o Options) []core.Series {
+		o = o.withDefaults()
+		s, _ := core.Sweep(o.ctx(), grid(o), o.runOptions(id))
+		return s
+	}
+	run := func(o Options) string {
+		o = o.withDefaults()
+		g := grid(o)
+		s, outs := core.Sweep(o.ctx(), g, o.runOptions(id))
+		var out strings.Builder
+		out.WriteString(header(o))
+		for i := range outs {
+			out.WriteString(row(g.X[i/len(g.Systems)], g.Cells[i], &outs[i].Stats))
+		}
+		return out.String() + companions(o, s)
+	}
+	return Experiment{ID: id, Paper: paper, Title: title, Run: run, Series: series}
 }
 
 func systems(mods ...modifier) []capture.Config {
@@ -442,110 +377,50 @@ func systems(mods ...modifier) []capture.Config {
 // x axis ("the buffer size was reduced by a factor of two for FreeBSD" so
 // the effective capacity matches single-buffered Linux).
 func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
-	series := func(o Options) []core.Series {
-		o = o.withDefaults()
-		kbs, cells, sts, outs := bufferSweepRun(o, id, cpuMod)
-		nsys := len(systems(cpuMod))
-		return cellSeries(cells, sts, outs, func(i int) float64 { return float64(kbs[i/nsys]) })
+	grid := func(o Options) core.Grid {
+		var kbs []float64
+		for kb := 128; kb <= 262144; kb *= 2 {
+			kbs = append(kbs, float64(kb))
+		}
+		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 980e6}
+		return cellGrid(kbs, o.applyPolicy(systems(cpuMod)),
+			func(kb float64) uint64 { return uint64(kb) },
+			func(kb float64, cfg capture.Config) core.Cell {
+				cfg.BufferBytes = int(kb) << 10
+				if cfg.OS != capture.Linux {
+					cfg.BufferBytes /= 2
+				}
+				return core.Cell{Cfg: cfg, W: w}
+			})
 	}
-	run := func(o Options) string {
-		o = o.withDefaults()
-		kbs, cells, sts, outs := bufferSweepRun(o, id, cpuMod)
-		nsys := len(systems(cpuMod))
-		var out strings.Builder
-		fmt.Fprintln(&out, "# capturing rate and CPU usage vs buffer size [kByte] at top rate")
-		fmt.Fprintln(&out, "# kB\tsystem\trate%\tcpu%")
-		for i, st := range sts {
-			fmt.Fprintf(&out, "%d\t%s\t%6.2f\t%6.2f\n",
-				kbs[i/nsys], cells[i].Cfg.Name, st.CaptureRate(), st.CPUUsage())
-		}
-		xOf := func(i int) float64 { return float64(kbs[i/nsys]) }
-		if o.Why {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatWhy(cellSeries(cells, sts, outs, xOf)))
-		}
-		if o.Chaos != 0 {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatChaos(cellSeries(cells, sts, outs, xOf)))
-		}
-		return out.String()
+	header := func(Options) string {
+		return "# capturing rate and CPU usage vs buffer size [kByte] at top rate\n# kB\tsystem\trate%\tcpu%\n"
 	}
-	return Experiment{ID: id, Paper: paper, Title: title, Run: run, Series: series}
-}
-
-func bufferSweepRun(o Options, experiment string, cpuMod modifier) (kbs []int, cells []core.Cell, sts []capture.Stats, outs []core.CellOutcome) {
-	w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 980e6}
-	bases := o.applyPolicy(systems(cpuMod))
-	for kb := 128; kb <= 262144; kb *= 2 {
-		kbs = append(kbs, kb)
-		for _, base := range bases {
-			cfg := base
-			if cfg.OS == capture.Linux {
-				cfg.BufferBytes = kb << 10
-			} else {
-				cfg.BufferBytes = kb << 10 / 2
-			}
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
-		}
+	row := func(kb float64, c core.Cell, st *capture.Stats) string {
+		return fmt.Sprintf("%d\t%s\t%6.2f\t%6.2f\n", int(kb), c.Cfg.Name, st.CaptureRate(), st.CPUUsage())
 	}
-	nsys := len(systems(cpuMod))
-	sts, outs = runCellsMaybeChaos(o, experiment, cells,
-		func(i int) uint64 { return uint64(kbs[i/nsys]) },
-		func(i int) float64 { return float64(kbs[i/nsys]) })
-	return kbs, cells, sts, outs
+	return cellExpt(id, paper, title, grid, header, row)
 }
 
 // multiAppExpt reproduces Figures 6.7–6.9: n applications, SMP, with the
 // worst/average/best per-application lines.
 func multiAppExpt(id, paper, title string, n int) Experiment {
-	series := func(o Options) []core.Series {
-		o = o.withDefaults()
-		cells, sts, outs := multiAppRun(o, id, n)
-		nsys := len(systems(bigBuffers, dual))
-		return cellSeries(cells, sts, outs, func(i int) float64 { return o.Rates[i/nsys] })
+	grid := func(o Options) core.Grid {
+		return cellGrid(o.Rates, o.applyPolicy(systems(bigBuffers, dual)), rateKey,
+			func(r float64, cfg capture.Config) core.Cell {
+				cfg.NumApps = n
+				return core.Cell{Cfg: cfg, W: core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}}
+			})
 	}
-	run := func(o Options) string {
-		o = o.withDefaults()
-		cells, sts, outs := multiAppRun(o, id, n)
-		nsys := len(systems(bigBuffers, dual))
-		var out strings.Builder
-		fmt.Fprintf(&out, "# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n", n)
-		fmt.Fprintln(&out, "# rate\tsystem\tworst%\tavg%\tbest%\tcpu%")
-		for i, st := range sts {
-			wo, av, be := st.AppRates()
-			fmt.Fprintf(&out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n",
-				o.Rates[i/nsys], cells[i].Cfg.Name, wo, av, be, st.CPUUsage())
-		}
-		xOf := func(i int) float64 { return o.Rates[i/nsys] }
-		if o.Why {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatWhy(cellSeries(cells, sts, outs, xOf)))
-		}
-		if o.Chaos != 0 {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatChaos(cellSeries(cells, sts, outs, xOf)))
-		}
-		return out.String()
+	header := func(Options) string {
+		return fmt.Sprintf("# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n", n) +
+			"# rate\tsystem\tworst%\tavg%\tbest%\tcpu%\n"
 	}
-	return Experiment{ID: id, Paper: paper, Title: title, Run: run, Series: series}
-}
-
-func multiAppRun(o Options, experiment string, n int) ([]core.Cell, []capture.Stats, []core.CellOutcome) {
-	var cells []core.Cell
-	bases := o.applyPolicy(systems(bigBuffers, dual))
-	for _, r := range o.Rates {
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}
-		for _, base := range bases {
-			cfg := base
-			cfg.NumApps = n
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
-		}
+	row := func(r float64, c core.Cell, st *capture.Stats) string {
+		wo, av, be := st.AppRates()
+		return fmt.Sprintf("%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n", r, c.Cfg.Name, wo, av, be, st.CPUUsage())
 	}
-	nsys := len(systems(bigBuffers, dual))
-	sts, outs := runCellsMaybeChaos(o, experiment, cells,
-		func(i int) uint64 { return uint64(o.Rates[i/nsys] * 1e3) },
-		func(i int) float64 { return o.Rates[i/nsys] })
-	return cells, sts, outs
+	return cellExpt(id, paper, title, grid, header, row)
 }
 
 // mmapConfigs builds Figure 6.15's systems: the two Linux machines with

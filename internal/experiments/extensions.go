@@ -221,25 +221,6 @@ func shedConfigs() []capture.Config {
 	return cfgs
 }
 
-// shedRun lays the shedding sweep out rate-major over shedConfigs and runs
-// the cells through the durable/resilient engines (so -json, SSE and
-// -chaos all work like any other per-cell sweep).
-func shedRun(o Options, experiment string) ([]core.Cell, []capture.Stats, []core.CellOutcome) {
-	bases := shedConfigs()
-	var cells []core.Cell
-	for _, r := range o.Rates {
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6, Flows: shedFlows}
-		for _, cfg := range bases {
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
-		}
-	}
-	nsys := len(bases)
-	sts, outs := runCellsMaybeChaos(o, experiment, cells,
-		func(i int) uint64 { return uint64(o.Rates[i/nsys] * 1e3) },
-		func(i int) float64 { return o.Rates[i/nsys] })
-	return cells, sts, outs
-}
-
 // shedExpt builds the ext-shedding experiment: accuracy-vs-load curves of
 // the three sampling policies against the unpoliced baseline — under
 // overload an arbitrary tail-drop loses arbitrary packets, while a policy
@@ -247,54 +228,37 @@ func shedRun(o Options, experiment string) ([]core.Cell, []capture.Stats, []core
 // or whatever the queues leave room for). Columns: per-app packet accuracy
 // (captured/generated), flow coverage (distinct flows seen per app /
 // flows in the train), deliberately shed share, and Jain's fairness index
-// over the per-app capture counts.
+// over the per-app capture counts. The cells are laid out rate-major over
+// shedConfigs, so -json, SSE and -chaos work like any other per-cell sweep.
 func shedExpt() Experiment {
-	const id = "ext-shedding"
-	series := func(o Options) []core.Series {
-		o = o.withDefaults()
-		cells, sts, outs := shedRun(o, id)
-		nsys := len(shedConfigs())
-		return cellSeries(cells, sts, outs, func(i int) float64 { return o.Rates[i/nsys] })
+	grid := func(o Options) core.Grid {
+		return cellGrid(o.Rates, shedConfigs(), rateKey, func(r float64, cfg capture.Config) core.Cell {
+			return core.Cell{Cfg: cfg, W: core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6, Flows: shedFlows}}
+		})
 	}
-	run := func(o Options) string {
-		o = o.withDefaults()
-		cells, sts, outs := shedRun(o, id)
-		nsys := len(shedConfigs())
-		var out strings.Builder
-		fmt.Fprintln(&out, "# load shedding: packet/flow accuracy, shed share and fairness by policy")
-		fmt.Fprintf(&out, "# swan + moorhen, dual CPU, big buffers, %d flows per train; shed != lost (see -why)\n", shedFlows)
-		fmt.Fprintln(&out, "# rate\tsystem\tpkt%\tflow%\tshed%\tfair")
-		for i, st := range sts {
-			napps := len(st.AppCaptured)
-			var flowPct float64
-			for _, f := range st.AppFlows {
-				flowPct += float64(f)
-			}
-			if napps > 0 {
-				flowPct = flowPct / float64(napps) / shedFlows * 100
-			}
-			shedPct := 0.0
-			if st.Generated > 0 && napps > 0 {
-				shedPct = float64(st.ShedTotal()) / float64(uint64(napps)*st.Generated) * 100
-			}
-			fmt.Fprintf(&out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%5.3f\n",
-				o.Rates[i/nsys], cells[i].Cfg.Name,
-				st.CaptureRate(), flowPct, shedPct, st.Fairness())
-		}
-		xOf := func(i int) float64 { return o.Rates[i/nsys] }
-		if o.Why {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatWhy(cellSeries(cells, sts, outs, xOf)))
-		}
-		if o.Chaos != 0 {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatChaos(cellSeries(cells, sts, outs, xOf)))
-		}
-		return out.String()
+	header := func(Options) string {
+		return "# load shedding: packet/flow accuracy, shed share and fairness by policy\n" +
+			fmt.Sprintf("# swan + moorhen, dual CPU, big buffers, %d flows per train; shed != lost (see -why)\n", shedFlows) +
+			"# rate\tsystem\tpkt%\tflow%\tshed%\tfair\n"
 	}
-	return Experiment{ID: id, Paper: "§7.2 / [BDSW10]",
-		Title: "adaptive load-aware sampling and load shedding under overload",
-		Run:   run, Series: series}
+	row := func(r float64, c core.Cell, st *capture.Stats) string {
+		napps := len(st.AppCaptured)
+		var flowPct float64
+		for _, f := range st.AppFlows {
+			flowPct += float64(f)
+		}
+		if napps > 0 {
+			flowPct = flowPct / float64(napps) / shedFlows * 100
+		}
+		shedPct := 0.0
+		if st.Generated > 0 && napps > 0 {
+			shedPct = float64(st.ShedTotal()) / float64(uint64(napps)*st.Generated) * 100
+		}
+		return fmt.Sprintf("%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%5.3f\n",
+			r, c.Cfg.Name, st.CaptureRate(), flowPct, shedPct, st.Fairness())
+	}
+	return cellExpt("ext-shedding", "§7.2 / [BDSW10]",
+		"adaptive load-aware sampling and load shedding under overload", grid, header, row)
 }
 
 // modernRates is the fixed data-rate axis of the modern-stack sweep, in
@@ -338,72 +302,37 @@ func modernConfigs(rings []int) []capture.Config {
 	return cfgs
 }
 
-// modernRun lays the modern sweep out rate-major over modernConfigs and
-// runs the cells through the durable/resilient engines, so -json, SSE,
-// -chaos, -policy, journaling and dispatch all compose like any other
-// per-cell sweep.
-func modernRun(o Options, experiment string) ([]core.Cell, []capture.Stats, []core.CellOutcome) {
-	bases := o.applyPolicy(modernConfigs(o.Rings))
-	var cells []core.Cell
-	for _, r := range modernRates {
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6,
-			Flows: modernFlows, LineRate: 100e9, GenCostNS: modernGenCostNS}
-		for _, cfg := range bases {
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
-		}
-	}
-	nsys := len(bases)
-	sts, outs := runCellsMaybeChaos(o, experiment, cells,
-		func(i int) uint64 { return uint64(modernRates[i/nsys] * 1e3) },
-		func(i int) float64 { return modernRates[i/nsys] })
-	return cells, sts, outs
-}
-
 // modernExpt builds the ext-modern experiment: the thesis's question —
 // which packets survive, at what CPU cost, and which buffer overflows —
 // re-asked of the receive paths that replaced the 2005 stacks at
 // 10/40/100G. Columns: capturing rate, CPU usage, and the NIC-level drop
 // share (pcie-bus + rss-ring + poll-budget), whose causes separate a bus
-// wall from a CPU wall (see -why for the full ledger).
+// wall from a CPU wall (see -why for the full ledger). The cells are laid
+// out rate-major over modernConfigs, so -json, SSE, -chaos, -policy,
+// journaling and dispatch all compose like any other per-cell sweep.
 func modernExpt() Experiment {
-	const id = "ext-modern"
-	series := func(o Options) []core.Series {
-		o = o.withDefaults()
-		cells, sts, outs := modernRun(o, id)
-		nsys := len(modernConfigs(o.Rings))
-		return cellSeries(cells, sts, outs, func(i int) float64 { return modernRates[i/nsys] })
+	grid := func(o Options) core.Grid {
+		return cellGrid(modernRates, o.applyPolicy(modernConfigs(o.Rings)), rateKey,
+			func(r float64, cfg capture.Config) core.Cell {
+				return core.Cell{Cfg: cfg, W: core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6,
+					Flows: modernFlows, LineRate: 100e9, GenCostNS: modernGenCostNS}}
+			})
 	}
-	run := func(o Options) string {
-		o = o.withDefaults()
-		cells, sts, outs := modernRun(o, id)
-		nsys := len(modernConfigs(o.Rings))
-		var out strings.Builder
-		fmt.Fprintln(&out, "# modern capture stacks at 10/40/100G: RSS+NAPI (heron), poll mode (osprey), zero copy (kite)")
-		fmt.Fprintf(&out, "# 8-core hosts, rN = RX rings, aN = capturing apps, %d flows per train\n", modernFlows)
-		fmt.Fprintln(&out, "# rate\tsystem\trate%\tcpu%\tnicdrop%")
-		for i, st := range sts {
-			nicPct := 0.0
-			if st.Generated > 0 {
-				nicPct = float64(st.NICDrops) / float64(st.Generated) * 100
-			}
-			fmt.Fprintf(&out, "%s\t%s\t%6.2f\t%6.2f\t%6.2f\n",
-				core.FormatRate(modernRates[i/nsys]), cells[i].Cfg.Name,
-				st.CaptureRate(), st.CPUUsage(), nicPct)
-		}
-		xOf := func(i int) float64 { return modernRates[i/nsys] }
-		if o.Why {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatWhy(cellSeries(cells, sts, outs, xOf)))
-		}
-		if o.Chaos != 0 {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatChaos(cellSeries(cells, sts, outs, xOf)))
-		}
-		return out.String()
+	header := func(Options) string {
+		return "# modern capture stacks at 10/40/100G: RSS+NAPI (heron), poll mode (osprey), zero copy (kite)\n" +
+			fmt.Sprintf("# 8-core hosts, rN = RX rings, aN = capturing apps, %d flows per train\n", modernFlows) +
+			"# rate\tsystem\trate%\tcpu%\tnicdrop%\n"
 	}
-	return Experiment{ID: id, Paper: "§7.2 outlook",
-		Title: "modern capture stacks: RSS multi-queue, poll mode, zero copy at 10/40/100G",
-		Run:   run, Series: series}
+	row := func(r float64, c core.Cell, st *capture.Stats) string {
+		nicPct := 0.0
+		if st.Generated > 0 {
+			nicPct = float64(st.NICDrops) / float64(st.Generated) * 100
+		}
+		return fmt.Sprintf("%s\t%s\t%6.2f\t%6.2f\t%6.2f\n",
+			core.FormatRate(r), c.Cfg.Name, st.CaptureRate(), st.CPUUsage(), nicPct)
+	}
+	return cellExpt("ext-modern", "§7.2 outlook",
+		"modern capture stacks: RSS multi-queue, poll mode, zero copy at 10/40/100G", grid, header, row)
 }
 
 // runModeration quantifies the §2.2.1 trade-off: interrupt moderation

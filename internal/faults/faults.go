@@ -312,7 +312,7 @@ func (p *Plan) Gen(point uint64, rep, attempt int) (frac float64, stall bool) {
 }
 
 // Sniffer draws the fault assignment of one sniffer for one cycle attempt
-// — the per-cell form the parallel sweep engine uses, where every
+// — the per-cell form the cell pipeline uses, where every
 // (system, rate, repetition) cell is one independent sniffer run.
 func (p *Plan) Sniffer(name string, point uint64, rep, attempt int) SnifferFaults {
 	var sf SnifferFaults

@@ -88,7 +88,9 @@ func TestSweepUnaffectedByStalledSubscriber(t *testing.T) {
 	w := core.Workload{Packets: 2000, Seed: 1}
 	ctx := context.Background()
 
-	want := core.FormatTable("t", core.SweepRatesObserved(ctx, cfgs, rates, w, 2, 4, "x", nil, nil))
+	g := core.RateGrid(cfgs, rates, w, 2)
+	plain, _ := core.Sweep(ctx, g, core.RunOptions{Workers: 4, Experiment: "x"})
+	want := core.FormatTable("t", plain)
 
 	h := NewHub()
 	reg := NewRegistry()
@@ -113,7 +115,8 @@ func TestSweepUnaffectedByStalledSubscriber(t *testing.T) {
 		}
 	}()
 
-	got := core.FormatTable("t", core.SweepRatesObserved(ctx, cfgs, rates, w, 2, 4, "x", nil, h))
+	observed, _ := core.Sweep(ctx, g, core.RunOptions{Workers: 4, Experiment: "x", Observer: h})
+	got := core.FormatTable("t", observed)
 	close(done)
 	wg.Wait()
 
@@ -155,7 +158,8 @@ func TestSweepPointEventsDeterministic(t *testing.T) {
 			got = append(got, strings.Join([]string{ev.System, formatX(ev.X)}, "@"))
 			mu.Unlock()
 		})
-		core.SweepRatesObserved(context.Background(), cfgs, rates, w, 2, workers, "x", nil, obs)
+		core.Sweep(context.Background(), core.RateGrid(cfgs, rates, w, 2),
+			core.RunOptions{Workers: workers, Experiment: "x", Observer: obs})
 		return got
 	}
 
