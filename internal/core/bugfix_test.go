@@ -94,7 +94,7 @@ func TestAggregatePointMergesLedger(t *testing.T) {
 		{Generated: 10, AppCaptured: []uint64{7}, Ledger: l1},
 		{Generated: 10, AppCaptured: []uint64{6}, Ledger: l2, Truncated: true},
 	}
-	pt := aggregatePoint("a", 300, runs)
+	pt := aggregatePoint("a", 300, []*capture.Stats{&runs[0], &runs[1]})
 	if pt.X != 300 || pt.System != "a" {
 		t.Fatalf("point identity wrong: %+v", pt)
 	}

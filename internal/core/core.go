@@ -270,7 +270,7 @@ type Series struct {
 // point at x into a plotted Point (capture rate, CPU, drop-cause ledger).
 // The runs arrive in repetition order, so the floating-point accumulation
 // is deterministic.
-func aggregatePoint(system string, x float64, runs []capture.Stats) Point {
+func aggregatePoint(system string, x float64, runs []*capture.Stats) Point {
 	pt := Point{System: system, X: x, RateMin: math.Inf(1), RateMax: math.Inf(-1)}
 	if len(runs) == 0 {
 		pt.RateMin, pt.RateMax = 0, 0

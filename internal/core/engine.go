@@ -36,9 +36,9 @@ import (
 type Cell struct {
 	Cfg capture.Config
 	W   Workload
-	// Wrap, when non-nil, wraps the replayed feed before the run — a hook
-	// for degraded sources (tests use it for failure hooks). The recorded
-	// feed itself stays shared and pristine.
+	// Wrap, when non-nil, wraps the replayed feed before the run — the
+	// hook tests use to gate or break a cell's source. The recorded feed
+	// itself stays shared and pristine.
 	Wrap func(capture.Source) capture.Source
 }
 
@@ -249,9 +249,6 @@ func newPipeline(ctx context.Context, cells []Cell, ids []CellID, o RunOptions) 
 	if len(ids) != len(cells) {
 		panic(fmt.Sprintf("core: %d ids for %d cells", len(ids), len(cells)))
 	}
-	if o.Feeds == nil {
-		o.Feeds = NewFeedCache(DefaultFeedCacheSize)
-	}
 	return &pipeline{ctx: ctx, cells: cells, ids: ids, o: o,
 		outs: make([]CellOutcome, len(cells)), errs: make([]error, len(cells))}
 }
@@ -264,12 +261,16 @@ func (p *pipeline) run() ([]CellOutcome, []error) {
 		return p.outs, p.errs
 	}
 	pending := p.replay()
-	switch {
-	case p.o.Plan != nil:
-		p.supervise(pending)
-	case p.o.Executor != nil:
+	if p.o.Executor != nil {
 		p.dispatch(pending)
-	default:
+		return p.outs, p.errs
+	}
+	if p.o.Feeds == nil {
+		p.o.Feeds = NewFeedCache(DefaultFeedCacheSize)
+	}
+	if p.o.Plan != nil {
+		p.supervise(pending)
+	} else {
 		p.pool(pending, p.measure)
 	}
 	return p.outs, p.errs
@@ -352,10 +353,12 @@ func (p *pipeline) measure(i int) {
 // dispatch hands the pending cells to the executor; its done callback
 // settles each cell exactly like the local pool would.
 func (p *pipeline) dispatch(pending []int) {
-	cells := make([]Cell, len(pending))
-	ids := make([]CellID, len(pending))
-	for k, i := range pending {
-		cells[k], ids[k] = p.cells[i], p.ids[i]
+	cells, ids := p.cells, p.ids
+	if len(pending) < len(p.cells) {
+		cells, ids = make([]Cell, len(pending)), make([]CellID, len(pending))
+		for k, i := range pending {
+			cells[k], ids[k] = p.cells[i], p.ids[i]
+		}
 	}
 	errs := p.o.Executor.ExecuteCells(p.ctx, p.o.Experiment, cells, ids,
 		func(k int, st *capture.Stats, worker string) error {
@@ -406,7 +409,7 @@ func (p *pipeline) recoverCell(i int, err *error) {
 func (p *pipeline) settle(i int, ev Event) error {
 	if p.o.Journal != nil && !ev.Replayed {
 		if err := p.o.Journal.Record(p.key(i), p.outs[i]); err != nil {
-			return err
+			return fmt.Errorf("core: journal record %v: %w", p.key(i), err)
 		}
 	}
 	if p.o.Observer != nil {

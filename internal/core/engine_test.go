@@ -171,8 +171,8 @@ func TestRunJournalFailureIsCellError(t *testing.T) {
 	}
 
 	defer func() {
-		if r := recover(); r != boom {
-			t.Fatalf("Sweep re-raised %v, want the journal failure", r)
+		if err, _ := recover().(error); !errors.Is(err, boom) {
+			t.Fatalf("Sweep re-raised %v, want the journal failure", err)
 		}
 	}()
 	j := newMemJournal()
@@ -198,7 +198,7 @@ func TestSweepPartialQuarantine(t *testing.T) {
 	if r.Rate != 0 || r.Generated != 0 || !r.Degraded || r.Quarantined != 1 {
 		t.Fatalf("rate-sweep point of a quarantined cell: %+v", r)
 	}
-	want := aggregatePoint("moorhen", 400, []capture.Stats{outs[0].Stats})
+	want := aggregatePoint("moorhen", 400, []*capture.Stats{&outs[0].Stats})
 	if p.Rate != want.Rate || p.Generated != want.Generated || !p.Degraded || p.Quarantined != 1 ||
 		p.Attempts != RetryBudget+1 {
 		t.Fatalf("partial point = %+v, want the partial stats' rate %.2f", p, want.Rate)

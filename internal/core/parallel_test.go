@@ -150,7 +150,7 @@ func TestAggregateDefensive(t *testing.T) {
 	// A 100%-capture run must be representable (the old sentinel was an
 	// arbitrary 200 that only worked because rates are percentages).
 	st := RunOnce(Moorhen(), Workload{Packets: 2000, Seed: 1, TargetRate: 1e8})
-	agg := aggregatePoint("moorhen", 100, []capture.Stats{st})
+	agg := aggregatePoint("moorhen", 100, []*capture.Stats{&st})
 	if agg.RateMin != agg.RateMax || agg.RateMin != st.CaptureRate() {
 		t.Fatalf("single-run aggregation: %+v vs rate %.2f", agg, st.CaptureRate())
 	}

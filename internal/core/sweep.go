@@ -71,7 +71,7 @@ func Sweep(ctx context.Context, g Grid, o RunOptions) ([]Series, []CellOutcome) 
 	}
 	p := newPipeline(ctx, g.Cells, g.IDs, o)
 	if o.Observer != nil {
-		kept := make([]capture.Stats, 0, l.reps)
+		kept := make([]*capture.Stats, 0, l.reps)
 		seq := newPointSequencer(len(g.X)*l.cols, l.reps, func(pi int) {
 			xi, col := pi/l.cols, pi%l.cols
 			pt := l.point(p.outs, xi, col, kept)
@@ -88,7 +88,7 @@ func Sweep(ctx context.Context, g Grid, o RunOptions) ([]Series, []CellOutcome) 
 	}
 
 	series := make([]Series, l.cols)
-	kept := make([]capture.Stats, 0, l.reps)
+	kept := make([]*capture.Stats, 0, l.reps)
 	for col := range series {
 		series[col].System = g.Systems[col]
 		series[col].Points = make([]Point, 0, len(g.X))
@@ -119,11 +119,11 @@ func (l *layout) cell(xi, rep, col int) int { return (xi*l.reps+rep)*l.cols + co
 // a clean point, and the chaos counters record what the supervisor had
 // to do to get there. The point is Degraded when a survivor ran on a
 // degraded leg or none survived (its rate fields are then not measured).
-func (l *layout) point(outs []CellOutcome, xi, col int, kept []capture.Stats) Point {
+func (l *layout) point(outs []CellOutcome, xi, col int, kept []*capture.Stats) Point {
 	kept = kept[:0]
 	if !l.supervised {
 		for rep := 0; rep < l.reps; rep++ {
-			kept = append(kept, outs[l.cell(xi, rep, col)].Stats)
+			kept = append(kept, &outs[l.cell(xi, rep, col)].Stats)
 		}
 		return aggregatePoint(l.Systems[col], l.X[xi], kept)
 	}
@@ -146,7 +146,7 @@ func (l *layout) point(outs []CellOutcome, xi, col int, kept []capture.Stats) Po
 		o := &outs[l.cell(xi, rep, col)]
 		if o.Quarantined {
 			if l.Partial {
-				kept = append(kept, o.Stats)
+				kept = append(kept, &o.Stats)
 			}
 			continue
 		}
@@ -155,7 +155,7 @@ func (l *layout) point(outs []CellOutcome, xi, col int, kept []capture.Stats) Po
 			log = append(log, fmt.Sprintf("%s:outlier-rejected(%.2f%%)", l.Systems[col], rates[k]))
 		} else {
 			survivors++
-			kept = append(kept, o.Stats)
+			kept = append(kept, &o.Stats)
 			degraded = degraded || o.Degraded
 		}
 		k++

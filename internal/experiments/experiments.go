@@ -342,8 +342,8 @@ func rateKey(x float64) uint64 { return uint64(x * 1e3) }
 // cellExpt builds a per-cell sweep experiment: grid lays out its cells,
 // and the table is header followed by one row per cell, rendered from the
 // cell's own statistics, then the companion tables of its series.
-func cellExpt(id, paper, title string, grid func(o Options) core.Grid, header func(o Options) string,
-	row func(x float64, c core.Cell, st *capture.Stats) string) Experiment {
+func cellExpt(id, paper, title string, grid func(o Options) core.Grid, header string,
+	row func(out *strings.Builder, x float64, system string, st *capture.Stats)) Experiment {
 	series := func(o Options) []core.Series {
 		o = o.withDefaults()
 		s, _ := core.Sweep(o.ctx(), grid(o), o.runOptions(id))
@@ -354,9 +354,9 @@ func cellExpt(id, paper, title string, grid func(o Options) core.Grid, header fu
 		g := grid(o)
 		s, outs := core.Sweep(o.ctx(), g, o.runOptions(id))
 		var out strings.Builder
-		out.WriteString(header(o))
+		out.WriteString(header)
 		for i := range outs {
-			out.WriteString(row(g.X[i/len(g.Systems)], g.Cells[i], &outs[i].Stats))
+			row(&out, g.X[i/len(g.Systems)], g.Cells[i].Cfg.Name, &outs[i].Stats)
 		}
 		return out.String() + companions(o, s)
 	}
@@ -393,11 +393,9 @@ func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
 				return core.Cell{Cfg: cfg, W: w}
 			})
 	}
-	header := func(Options) string {
-		return "# capturing rate and CPU usage vs buffer size [kByte] at top rate\n# kB\tsystem\trate%\tcpu%\n"
-	}
-	row := func(kb float64, c core.Cell, st *capture.Stats) string {
-		return fmt.Sprintf("%d\t%s\t%6.2f\t%6.2f\n", int(kb), c.Cfg.Name, st.CaptureRate(), st.CPUUsage())
+	header := "# capturing rate and CPU usage vs buffer size [kByte] at top rate\n# kB\tsystem\trate%\tcpu%\n"
+	row := func(out *strings.Builder, kb float64, system string, st *capture.Stats) {
+		fmt.Fprintf(out, "%d\t%s\t%6.2f\t%6.2f\n", int(kb), system, st.CaptureRate(), st.CPUUsage())
 	}
 	return cellExpt(id, paper, title, grid, header, row)
 }
@@ -412,13 +410,11 @@ func multiAppExpt(id, paper, title string, n int) Experiment {
 				return core.Cell{Cfg: cfg, W: core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}}
 			})
 	}
-	header := func(Options) string {
-		return fmt.Sprintf("# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n", n) +
-			"# rate\tsystem\tworst%\tavg%\tbest%\tcpu%\n"
-	}
-	row := func(r float64, c core.Cell, st *capture.Stats) string {
+	header := fmt.Sprintf("# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n", n) +
+		"# rate\tsystem\tworst%\tavg%\tbest%\tcpu%\n"
+	row := func(out *strings.Builder, r float64, system string, st *capture.Stats) {
 		wo, av, be := st.AppRates()
-		return fmt.Sprintf("%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n", r, c.Cfg.Name, wo, av, be, st.CPUUsage())
+		fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n", r, system, wo, av, be, st.CPUUsage())
 	}
 	return cellExpt(id, paper, title, grid, header, row)
 }

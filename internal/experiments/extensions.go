@@ -236,12 +236,10 @@ func shedExpt() Experiment {
 			return core.Cell{Cfg: cfg, W: core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6, Flows: shedFlows}}
 		})
 	}
-	header := func(Options) string {
-		return "# load shedding: packet/flow accuracy, shed share and fairness by policy\n" +
-			fmt.Sprintf("# swan + moorhen, dual CPU, big buffers, %d flows per train; shed != lost (see -why)\n", shedFlows) +
-			"# rate\tsystem\tpkt%\tflow%\tshed%\tfair\n"
-	}
-	row := func(r float64, c core.Cell, st *capture.Stats) string {
+	header := "# load shedding: packet/flow accuracy, shed share and fairness by policy\n" +
+		fmt.Sprintf("# swan + moorhen, dual CPU, big buffers, %d flows per train; shed != lost (see -why)\n", shedFlows) +
+		"# rate\tsystem\tpkt%\tflow%\tshed%\tfair\n"
+	row := func(out *strings.Builder, r float64, system string, st *capture.Stats) {
 		napps := len(st.AppCaptured)
 		var flowPct float64
 		for _, f := range st.AppFlows {
@@ -254,8 +252,8 @@ func shedExpt() Experiment {
 		if st.Generated > 0 && napps > 0 {
 			shedPct = float64(st.ShedTotal()) / float64(uint64(napps)*st.Generated) * 100
 		}
-		return fmt.Sprintf("%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%5.3f\n",
-			r, c.Cfg.Name, st.CaptureRate(), flowPct, shedPct, st.Fairness())
+		fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%5.3f\n",
+			r, system, st.CaptureRate(), flowPct, shedPct, st.Fairness())
 	}
 	return cellExpt("ext-shedding", "§7.2 / [BDSW10]",
 		"adaptive load-aware sampling and load shedding under overload", grid, header, row)
@@ -318,18 +316,16 @@ func modernExpt() Experiment {
 					Flows: modernFlows, LineRate: 100e9, GenCostNS: modernGenCostNS}}
 			})
 	}
-	header := func(Options) string {
-		return "# modern capture stacks at 10/40/100G: RSS+NAPI (heron), poll mode (osprey), zero copy (kite)\n" +
-			fmt.Sprintf("# 8-core hosts, rN = RX rings, aN = capturing apps, %d flows per train\n", modernFlows) +
-			"# rate\tsystem\trate%\tcpu%\tnicdrop%\n"
-	}
-	row := func(r float64, c core.Cell, st *capture.Stats) string {
+	header := "# modern capture stacks at 10/40/100G: RSS+NAPI (heron), poll mode (osprey), zero copy (kite)\n" +
+		fmt.Sprintf("# 8-core hosts, rN = RX rings, aN = capturing apps, %d flows per train\n", modernFlows) +
+		"# rate\tsystem\trate%\tcpu%\tnicdrop%\n"
+	row := func(out *strings.Builder, r float64, system string, st *capture.Stats) {
 		nicPct := 0.0
 		if st.Generated > 0 {
 			nicPct = float64(st.NICDrops) / float64(st.Generated) * 100
 		}
-		return fmt.Sprintf("%s\t%s\t%6.2f\t%6.2f\t%6.2f\n",
-			core.FormatRate(r), c.Cfg.Name, st.CaptureRate(), st.CPUUsage(), nicPct)
+		fmt.Fprintf(out, "%s\t%s\t%6.2f\t%6.2f\t%6.2f\n",
+			core.FormatRate(r), system, st.CaptureRate(), st.CPUUsage(), nicPct)
 	}
 	return cellExpt("ext-modern", "§7.2 outlook",
 		"modern capture stacks: RSS multi-queue, poll mode, zero copy at 10/40/100G", grid, header, row)
