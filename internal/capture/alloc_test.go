@@ -81,3 +81,30 @@ func BenchmarkCaptureRun(b *testing.B) {
 		})
 	}
 }
+
+// TestPollModeEventsPerPacket is the host-cost budget of the poll-mode
+// stack: once the system is quiescent after generation, the idle spins
+// left until the run's window boundary run as one task per PMD core, so
+// on the modern train osprey fires at most twice the simulator events per
+// packet of the interrupt-driven heron. Spinning through that tail one
+// PollIdleNS at a time costs tens of events per packet.
+func TestPollModeEventsPerPacket(t *testing.T) {
+	const packets = 5000
+	perPkt := map[string]float64{}
+	for _, p := range receivePaths(packets) {
+		if p.name != "rss" && p.name != "poll" {
+			continue
+		}
+		sys := capture.NewSystem(p.cfg)
+		before := sys.Sim.Steps()
+		if st := sys.RunSource(p.feed.Replay()); st.Generated != packets {
+			t.Fatalf("%s: generated %d of %d", p.name, st.Generated, packets)
+		}
+		perPkt[p.name] = float64(sys.Sim.Steps()-before) / packets
+	}
+	t.Logf("events per packet: rss %.2f, poll %.2f", perPkt["rss"], perPkt["poll"])
+	if perPkt["poll"] > 2*perPkt["rss"] {
+		t.Errorf("poll mode fires %.2f events per packet, budget 2 × rss (%.2f)",
+			perPkt["poll"], 2*perPkt["rss"])
+	}
+}

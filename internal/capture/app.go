@@ -162,8 +162,8 @@ func (adm *admission) noteFlow(a *App, frame []byte) {
 	if a.flowsKept == nil {
 		return
 	}
-	if k, ok := flows.KeyOf(frame); ok {
-		adm.flowKeys = append(adm.flowKeys, k.Hash())
+	if h, ok := flows.HashOf(frame); ok {
+		adm.flowKeys = append(adm.flowKeys, h)
 	}
 }
 

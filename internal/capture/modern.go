@@ -362,13 +362,27 @@ func (st *pollStack) start() {
 // flows — the defining cost trade of poll mode, visible in cpusage as a
 // pegged softintr class); a non-empty poll processes up to PollBurst
 // packets and hands them into the per-application rings without copying.
+//
+// Once the system is quiescent after generation, no packet can reach a
+// ring again and the run ends at the current window boundary. The spins
+// the loop would still make up to then are merged into one task that ends
+// where the last of them would: the core's busy time, the lower-priority
+// work it keeps waiting and the run's end stay those of the spin chain,
+// at one simulator event instead of one per PollIdleNS.
 func (st *pollStack) poll(g *ringStage) {
-	if !st.sys.running {
+	s := st.sys
+	if !s.running {
 		return // run over: the spin loop winds down
 	}
-	c := &st.sys.Costs
-	if !g.startPass(st.sys, c.PollBurst) {
-		st.sys.ringCPU(g.r).Submit(&g.kick)
+	c := &s.Costs
+	if !g.startPass(s, c.PollBurst) {
+		g.kick.FixedNS = c.PollIdleNS
+		if s.genDone && s.quiescent() {
+			grain := sim.Time(c.PollIdleNS + 0.5)
+			spins := (s.windowEnd-s.Sim.Now())/grain + 1
+			g.kick.FixedNS = float64(spins * grain)
+		}
+		s.ringCPU(g.r).Submit(&g.kick)
 		return
 	}
 	var fixed float64

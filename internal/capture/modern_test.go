@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/pktgen"
+	"repro/internal/sim"
 )
 
 // newModernGen builds a multi-flow train at a multi-gigabit line rate
@@ -210,5 +211,37 @@ func TestModernRingClamp(t *testing.T) {
 	cfg.RXRings = 99
 	if got := NewSystem(scaled(cfg, 1000)).RXRings; got != 7 {
 		t.Errorf("poll rings=99: clamped to %d, want 7 (NumCPUs-1)", got)
+	}
+}
+
+// TestPMDCoresArmNoHousekeeping: a PMD core spins at softirq priority for
+// the whole run, so kernel-priority housekeeping queued there could only
+// run after the run ends. None is armed: no kernel task ever waits on a
+// PMD core, while every other core still takes its housekeeping.
+func TestPMDCoresArmNoHousekeeping(t *testing.T) {
+	sys := NewSystem(scaled(modernCfg("osprey", StackPoll, 1), 4000))
+	maxQueued := make([]int, len(sys.Machine.CPUs))
+	var probe func()
+	probe = func() {
+		for i, c := range sys.Machine.CPUs {
+			if n := c.QueueLen(sim.PrioKernel); n > maxQueued[i] {
+				maxQueued[i] = n
+			}
+		}
+		if !sys.Done() {
+			sys.Sim.After(sim.Millisecond, probe)
+		}
+	}
+	sys.Sim.After(sim.Millisecond, probe)
+	st := sys.Run(newModernGen(4000, 2000, 1))
+	for i := range sys.Machine.CPUs {
+		kernel := st.BusyByCPU[i][sim.PrioKernel]
+		if sys.Machine.Reserved(i) {
+			if maxQueued[i] > 0 || kernel > 0 {
+				t.Errorf("PMD core %d: %d kernel tasks queued, %v kernel busy; want none", i, maxQueued[i], kernel)
+			}
+		} else if kernel == 0 {
+			t.Errorf("core %d ran no housekeeping", i)
+		}
 	}
 }

@@ -101,8 +101,8 @@ func (n *rssNIC) reset() {
 // without a parseable flow key (non-UDP/IP) land on ring 0, like real RSS
 // falling back to a default queue.
 func (n *rssNIC) ringOf(data []byte) int {
-	if k, ok := flows.KeyOf(data); ok {
-		return int(k.Hash() % uint64(len(n.rings)))
+	if h, ok := flows.HashOf(data); ok {
+		return int(h % uint64(len(n.rings)))
 	}
 	return 0
 }

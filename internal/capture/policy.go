@@ -250,11 +250,11 @@ type flowSampler struct {
 func (f *flowSampler) observe(float64) {}
 
 func (f *flowSampler) admit(frame []byte) bool {
-	k, ok := flows.KeyOf(frame)
+	h, ok := flows.HashOf(frame)
 	if !ok {
 		return true
 	}
-	return k.Hash()%f.n == 0
+	return h%f.n == 0
 }
 
 func (f *flowSampler) reset() {}

@@ -85,6 +85,7 @@ type System struct {
 	genDone   bool
 	genEnd    sim.Time
 	runStart  sim.Time // Sim.Now() when the current run began
+	windowEnd sim.Time // the run loop's current RunUntil limit
 	truncated bool     // the run hit the safety cap with packets in flight
 
 	// The arrival stage: the source being replayed and its one pending
@@ -309,6 +310,12 @@ func (s *System) startHousekeeping() {
 		return
 	}
 	for i, h := range s.housekeepers {
+		if s.Machine.Reserved(i) {
+			// A PMD core spins at softirq priority for the whole run, so
+			// kernel work queued there cannot run before the run ends:
+			// its housekeeping would only pile up tasks no statistic sees.
+			continue
+		}
 		// Stagger across CPUs so both are never stalled at once.
 		offset := sim.Time(s.Costs.HousekeepPeriodNS * float64(i+1) / float64(len(s.Machine.CPUs)+1))
 		s.Sim.At(s.Sim.Now()+offset, h.fire)
@@ -423,6 +430,7 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 	const window = 250 * sim.Millisecond
 	limit := s.Sim.Now() + window
 	for {
+		s.windowEnd = limit
 		s.Sim.RunUntil(limit)
 		if s.genDone && s.quiescent() {
 			break

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/capture"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/pktgen"
 	"repro/internal/sim"
@@ -70,6 +71,27 @@ func TestLinuxShowsSoftirqTime(t *testing.T) {
 	}
 	if sum.Avg.User <= 0 {
 		t.Fatal("no user time sampled")
+	}
+}
+
+// TestPollModeCoresStayPegged: a poll-mode system's PMD cores spin in
+// softirq for as long as the run lasts, drained or not. The one sample
+// here spans the whole run, including the idle tail after the system is
+// quiescent, and must still show every PMD core pegged: this is what
+// `cpusage -system osprey` reports.
+func TestPollModeCoresStayPegged(t *testing.T) {
+	w := core.Workload{Packets: 2000, TargetRate: 2e9, Seed: 1,
+		Flows: 256, LineRate: 100e9, GenCostNS: 20}
+	sys := capture.NewSystem(core.Prepare(core.Osprey(), w))
+	sp := Attach(sys, 100*sim.Millisecond)
+	st := sys.Run(w.Generator())
+	if len(sp.Samples) != 1 || sp.Samples[0].At <= st.WallTime {
+		t.Fatalf("want one sample reaching past generation (%v), got %+v", st.WallTime, sp.Samples)
+	}
+	pegged := 100 * float64(sys.RXRings) / float64(st.CPUCount)
+	if got := sp.Samples[0].Soft; math.Abs(got-pegged) > 0.1 {
+		t.Fatalf("softirq share %.2f%%, want the %d PMD cores of %d pegged (%.2f%%)",
+			got, sys.RXRings, st.CPUCount, pegged)
 	}
 }
 

@@ -16,7 +16,9 @@
 //     backoff — the shape of the core pipeline's fault supervision — and
 //     a cell that exhausts its dispatch budget is run locally by the
 //     coordinator, so a campaign always terminates even if every worker
-//     is hostile.
+//     is hostile. When no lease is outstanding and no worker has asked
+//     for one within AbandonTTLs lease TTLs (every worker quit), the
+//     coordinator runs the queued cells locally too.
 //   - A lease that lives past the straggler threshold (its worker
 //     heartbeats but never finishes) is speculatively re-dispatched to a
 //     healthy worker; whichever copy finishes first wins.
@@ -68,6 +70,11 @@ const (
 	// DefaultStrikeout quarantines a worker after this many expired
 	// leases: it keeps asking for work and keeps losing it.
 	DefaultStrikeout = 3
+	// AbandonTTLs is how many lease TTLs the coordinator waits, with no
+	// lease outstanding and no lease request from a worker it would
+	// serve, before it concludes every worker has quit and runs the
+	// queued cells itself.
+	AbandonTTLs = 3
 )
 
 // WALFile is the dispatch write-ahead log's file name inside the
@@ -126,7 +133,7 @@ type Stats struct {
 	Expired      uint64 // leases expired (missed heartbeats / dead worker)
 	Redispatched uint64 // straggler leases speculatively re-dispatched
 	Duplicates   uint64 // duplicate cell completions (resolved last-write-wins)
-	LocalCells   uint64 // cells run locally after the retry budget
+	LocalCells   uint64 // cells run locally (retry budget spent, or no workers left)
 	Completed    uint64 // cells finalized (first completion wins)
 }
 
@@ -225,6 +232,7 @@ type Coordinator struct {
 	workers  map[string]*workerState
 	cur      *activeSet
 	finished bool
+	lastAsk  time.Duration // last lease request from a servable worker
 	stats    Stats
 	wake     chan struct{}
 }
@@ -492,13 +500,18 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 	for {
 		c.mu.Lock()
 		c.sweepLocked()
+		why := "retry budget exhausted"
 		locals := st.exhausted
 		st.exhausted = nil
+		if len(locals) == 0 && st.remaining > 0 && c.abandonedLocked() {
+			why = fmt.Sprintf("no worker asked for a lease in %s", AbandonTTLs*c.ttl())
+			locals = takeQueuedLocked(st)
+		}
 		rem := st.remaining
 		c.mu.Unlock()
 
 		if len(locals) > 0 {
-			c.runLocal(ctx, st, locals)
+			c.runLocal(ctx, st, locals, why)
 			continue
 		}
 		if rem == 0 {
@@ -520,6 +533,28 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		case <-ticker.C:
 		}
 	}
+}
+
+// abandonedLocked reports whether every worker appears to have quit: no
+// lease is outstanding (sweepLocked has just voided the expired ones) and
+// no worker the coordinator would serve has asked for one within
+// AbandonTTLs lease TTLs. Callers hold c.mu.
+func (c *Coordinator) abandonedLocked() bool {
+	return len(c.leases) == 0 && c.now()-c.lastAsk >= AbandonTTLs*c.ttl()
+}
+
+// takeQueuedLocked empties the dispatch queue and returns every cell not
+// yet finalized; with no lease outstanding that is every unfinished
+// cell. Callers hold c.mu.
+func takeQueuedLocked(st *activeSet) []int {
+	var idxs []int
+	for i, done := range st.done {
+		if !done {
+			idxs = append(idxs, i)
+		}
+	}
+	st.pending = nil
+	return idxs
 }
 
 // sweepLocked expires overdue leases and speculatively re-dispatches
@@ -611,6 +646,7 @@ func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease,
 	if ws.quarantined {
 		return nil, &quarantinedError{worker: worker}
 	}
+	c.lastAsk = c.now()
 	st := c.cur
 	if st == nil {
 		return nil, nil
@@ -784,10 +820,11 @@ func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs 
 	return err
 }
 
-// runLocal measures budget-exhausted cells on the coordinator itself:
-// the guarantee that a campaign terminates even if every worker keeps
-// losing leases.
-func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
+// runLocal measures cells on the coordinator itself — budget-exhausted
+// cells, or the whole queue once every worker has quit: the guarantee
+// that a campaign terminates even if every worker keeps losing leases or
+// gives up. why names the reason in the retry event.
+func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int, why string) {
 	cells := make([]core.Cell, len(idxs))
 	ids := make([]core.CellID, len(idxs))
 	keys := make([]core.CellKey, len(idxs))
@@ -801,7 +838,7 @@ func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
 	c.stats.LocalCells += uint64(len(idxs))
 	c.mu.Unlock()
 	c.observe(core.Event{Kind: core.EventRetry, Experiment: st.experiment, Worker: "coordinator",
-		Detail: fmt.Sprintf("retry budget exhausted: running %d cells locally", len(idxs))})
+		Detail: fmt.Sprintf("%s: running %d cells locally", why, len(idxs))})
 	outs, errs := core.Run(ctx, cells, ids, core.RunOptions{Workers: c.LocalWorkers, Feeds: st.feeds})
 	for bi, i := range idxs {
 		c.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -557,6 +558,111 @@ func TestWorkerEndToEndHTTP(t *testing.T) {
 	}
 	if got := c.Stats().Completed; got != uint64(set.Len()) {
 		t.Fatalf("completed = %d, want %d", got, set.Len())
+	}
+}
+
+// partition is a worker transport that cuts every protocol call (lease,
+// complete, heartbeat) once the coordinator has answered `after`
+// completions; discovery still passes, so late joiners find the
+// campaign and then lose it like the rest.
+type partition struct {
+	after     int32
+	completes atomic.Int32
+	cut       atomic.Bool
+}
+
+func (p *partition) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && p.cut.Load() {
+		return nil, fmt.Errorf("partitioned")
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && strings.HasSuffix(r.URL.Path, "/complete") && p.completes.Add(1) >= p.after {
+		p.cut.Store(true)
+	}
+	return resp, err
+}
+
+// TestAllWorkersQuitRunsQueueLocally: every worker gives up on the
+// coordinator mid-campaign ("coordinator gone" after shutdownGrace
+// consecutive transport failures) while cells are still queued with
+// dispatch budget to spare. With no lease outstanding and no lease
+// request for AbandonTTLs lease TTLs, the coordinator must run the queue
+// itself and ExecuteCells must return with every cell done exactly once.
+func TestAllWorkersQuitRunsQueueLocally(t *testing.T) {
+	o := experiments.Options{Packets: 300, Reps: 1, Seed: 1, Rates: []float64{400, 800}}
+	fp, err := experiments.Fingerprint(o)
+	if err != nil {
+		t.Fatalf("Fingerprint: %v", err)
+	}
+	const expID = "fig6.3-smp"
+	set, err := experiments.EnumerateCells(expID, o)
+	if err != nil {
+		t.Fatalf("EnumerateCells: %v", err)
+	}
+	if set.Len() < 6 {
+		t.Fatalf("experiment %s enumerated %d cells, need a campaign to cut mid-way", expID, set.Len())
+	}
+
+	c := New("quit", fp)
+	c.LeaseTTL = 100 * time.Millisecond
+	srv := httptest.NewServer(newMux(c))
+	defer srv.Close()
+
+	col := newCollector()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan []error, 1)
+	go func() {
+		done <- c.ExecuteCells(ctx, expID, set.Cells, set.IDs, col.done)
+	}()
+
+	cut := &partition{after: 2}
+	var logs sync.Map
+	var wg sync.WaitGroup
+	werrs := make([]error, 3)
+	for i := range werrs {
+		id := fmt.Sprintf("w%d", i+1)
+		w := &Worker{ID: id, BaseURL: srv.URL, Options: o, MaxCells: 1,
+			Client: &http.Client{Transport: cut, Timeout: time.Second},
+			Poll:   2 * time.Millisecond, Heartbeat: 10 * time.Millisecond,
+			Retries: -1,
+			Log: func(format string, args ...any) {
+				if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "coordinator gone") {
+					logs.Store(id, msg)
+				}
+			}}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			werrs[i] = w.Run(ctx)
+		}(i)
+	}
+
+	errs := <-done
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	for i, err := range werrs {
+		if err != nil {
+			t.Fatalf("worker w%d: %v", i+1, err)
+		}
+		if _, ok := logs.Load(fmt.Sprintf("w%d", i+1)); !ok {
+			t.Fatalf("worker w%d did not give up on the coordinator", i+1)
+		}
+	}
+	for i := 0; i < set.Len(); i++ {
+		if col.counts[i] != 1 {
+			t.Fatalf("cell %d finalized %d times (by %q), want once", i, col.counts[i], col.workers[i])
+		}
+	}
+	st := c.Stats()
+	t.Logf("%d cells: %d completed by workers, %d run locally", set.Len(), st.Completed, st.LocalCells)
+	if st.Completed == 0 || st.LocalCells == 0 || st.Completed+st.LocalCells != uint64(set.Len()) {
+		t.Fatalf("worker-completed %d + local %d cells, want both > 0 and summing to %d",
+			st.Completed, st.LocalCells, set.Len())
 	}
 }
 

@@ -10,6 +10,7 @@
 package flows
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -125,14 +126,16 @@ func KeyOf(frame []byte) (Key, bool) {
 	return canonical(k), true
 }
 
+// FNV-1a 64-bit parameters of Key.Hash and HashOf.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 // Hash returns a deterministic 64-bit FNV-1a hash of the key. The hash is
 // platform- and run-independent, so hash-based flow selection (sampling
 // policies) is reproducible across processes.
 func (k Key) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	mix := func(b byte) {
 		h ^= uint64(b)
@@ -154,6 +157,78 @@ func (k Key) Hash() uint64 {
 	mix(byte(k.DstPort))
 	mix(k.Proto)
 	return h
+}
+
+// HashOf returns KeyOf(frame).Hash() and KeyOf's ok without decoding the
+// frame or building a Key. It reads the header fields in place under the
+// acceptance rules of pkt.DecodeEthernet, DecodeIPv4, DecodeUDP and
+// DecodeTCP (a short transport header or a TCP data offset below 5 leaves
+// the ports 0), orders the endpoints as canonical does and hashes their
+// IPv4-mapped form like Key.Hash. It is the per-packet flow hash of the
+// capture path: RSS steering, flow sampling and flow coverage.
+func HashOf(frame []byte) (uint64, bool) {
+	const eth = pkt.EthernetHeaderLen
+	if len(frame) < eth+pkt.IPv4HeaderLen ||
+		binary.BigEndian.Uint16(frame[12:14]) != pkt.EtherTypeIPv4 {
+		return 0, false
+	}
+	ip := frame[eth:]
+	ihl := int(ip[0]&0x0f) * 4
+	if ip[0]>>4 != 4 || ihl < pkt.IPv4HeaderLen || len(ip) < ihl {
+		return 0, false
+	}
+	proto := ip[9]
+	src := binary.BigEndian.Uint32(ip[12:16])
+	dst := binary.BigEndian.Uint32(ip[16:20])
+	l4 := ip[ihl:]
+	var ports bool
+	switch proto {
+	case pkt.ProtoUDP:
+		ports = len(l4) >= pkt.UDPHeaderLen
+	case pkt.ProtoTCP:
+		ports = len(l4) >= pkt.TCPHeaderLen && int(l4[12]>>4)*4 >= pkt.TCPHeaderLen
+	}
+	var sp, dp uint16
+	if ports {
+		sp, dp = binary.BigEndian.Uint16(l4[0:2]), binary.BigEndian.Uint16(l4[2:4])
+	}
+	if src > dst || (src == dst && sp > dp) {
+		src, dst = dst, src
+		sp, dp = dp, sp
+	}
+	h := mix32(mappedStart, src)
+	h = mix32(mixMappedPrefix(h), dst)
+	h = mix32(h, uint32(sp)<<16|uint32(dp))
+	return (h ^ uint64(proto)) * prime64, true
+}
+
+// The IPv4-mapped prefix ::ffff: is ten zero bytes and two 0xff bytes. A
+// zero byte leaves FNV-1a's xor unchanged, so the ten zeros fold into one
+// multiplication by prime64^10; mappedStart is the hash state after the
+// first address's prefix.
+var (
+	prime64Pow10 = func() uint64 {
+		p := uint64(1)
+		for i := 0; i < 10; i++ {
+			p *= prime64
+		}
+		return p
+	}()
+	mappedStart = mixMappedPrefix(offset64)
+)
+
+func mixMappedPrefix(h uint64) uint64 {
+	h *= prime64Pow10
+	h = (h ^ 0xff) * prime64
+	return (h ^ 0xff) * prime64
+}
+
+// mix32 feeds the four bytes of v, most significant first.
+func mix32(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v>>24)) * prime64
+	h = (h ^ uint64(v>>16&0xff)) * prime64
+	h = (h ^ uint64(v>>8&0xff)) * prime64
+	return (h ^ uint64(v&0xff)) * prime64
 }
 
 // canonical orders the endpoints so A→B and B→A share a key.

@@ -124,6 +124,9 @@ func (m *Machine) Reserve(id int) {
 	}
 }
 
+// Reserved reports whether CPU id is dedicated to pinned kernel work.
+func (m *Machine) Reserved(id int) bool { return m.reserved != nil && m.reserved[id] }
+
 // NewMachine creates a machine with n CPUs. If hyperthreading is true the
 // CPUs are paired: CPU 2k and 2k+1 share physical core k.
 func NewMachine(s *Sim, n int, hyperthreading bool) *Machine {
