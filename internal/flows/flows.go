@@ -108,9 +108,10 @@ func (t *Table) Observe(ts time.Time, frame []byte) {
 }
 
 // KeyOf parses one frame and returns its canonical (bidirectional) flow
-// key, ok=false for non-IPv4 frames. It is the 5-tuple extraction the
-// capture simulation's flow-aware sampling policy shares with the flow
-// table, so "keep whole flows" means the same flows Observe would account.
+// key, ok=false for non-IPv4 frames. It extracts the 5-tuple as Observe
+// does, so the capture simulation's "keep whole flows" means the same
+// flows the table would account; the simulation hashes it through
+// HashOf, for which KeyOf(frame).Hash() is the reference.
 func KeyOf(frame []byte) (Key, bool) {
 	s, err := pkt.Parse(frame)
 	if err != nil || !s.IsIPv4 {
